@@ -100,22 +100,24 @@ const Matrix* Plan::DeployedStrategy() const {
 
 std::unique_ptr<PlanSession> Plan::StartSession(int num_shards) const {
   // PlanSession's constructor is private; the session pins an internal
-  // pointer (server -> session), hence the unique_ptr.
+  // pointer (server -> session), hence the unique_ptr. The deployed Q is
+  // handed over as an aliasing pointer that keeps the mechanism alive.
   const Matrix* strategy = DeployedStrategy();
   return std::unique_ptr<PlanSession>(new PlanSession(
       deployment_.decoder, workload_, num_shards, report_kind(),
-      strategy != nullptr ? *strategy : Matrix(), epsilon_, stats_));
+      strategy != nullptr ? std::shared_ptr<const Matrix>(mechanism_, strategy)
+                          : nullptr,
+      epsilon_));
 }
 
-PlanSession::PlanSession(ReportDecoder decoder,
+PlanSession::PlanSession(std::shared_ptr<const ReportDecoder> decoder,
                          std::shared_ptr<const Workload> workload,
-                         int num_shards, ReportKind kind, Matrix strategy,
-                         double epsilon, WorkloadStats stats)
+                         int num_shards, ReportKind kind,
+                         std::shared_ptr<const Matrix> strategy, double epsilon)
     : session_(std::move(decoder), std::move(workload), num_shards, kind),
       server_(&session_),
-      epsilon_(epsilon),
-      stats_(std::move(stats)) {
-  if (!strategy.empty()) strategies_.emplace(0, std::move(strategy));
+      epsilon_(epsilon) {
+  if (strategy != nullptr) strategies_.emplace(0, std::move(strategy));
 }
 
 StatusOr<StrategySnapshot> PlanSession::CurrentStrategy() const {
@@ -132,7 +134,7 @@ StatusOr<StrategySnapshot> PlanSession::CurrentStrategy() const {
   StrategySnapshot snapshot;
   snapshot.version = version;
   snapshot.epsilon = epsilon_;
-  snapshot.q = it->second;
+  snapshot.q = *it->second;
   return snapshot;
 }
 
@@ -144,12 +146,13 @@ StatusOr<int> PlanSession::RollStrategy(Matrix q) {
           "deployment is not strategy-based; cannot roll its strategy");
     }
   }
-  if (q.rows() != session_.num_outputs() || q.cols() != stats_.n) {
+  const WorkloadStats& stats = session_.decoder().workload_stats();
+  if (q.rows() != session_.num_outputs() || q.cols() != stats.n) {
     return Status::InvalidArgument(
         "rolled strategy is " + std::to_string(q.rows()) + " x " +
         std::to_string(q.cols()) + ", deployment requires " +
         std::to_string(session_.num_outputs()) + " x " +
-        std::to_string(stats_.n));
+        std::to_string(stats.n));
   }
   // A rolled strategy arrives at runtime (re-optimization output, operator
   // upload), so LDP violations are recoverable failures, not CHECK aborts.
@@ -160,7 +163,7 @@ StatusOr<int> PlanSession::RollStrategy(Matrix q) {
         "rolled strategy is not a valid " + std::to_string(epsilon_) +
         "-LDP strategy:" + validation.ToString());
   }
-  const FactorizationAnalysis analysis(q, stats_);
+  const FactorizationAnalysis analysis(q, stats);
   // Mirrors the mechanism layer's deployability bar (mechanism.cc): a large
   // Gram-side residual means the workload left the strategy's row space and
   // every decode under it would be biased.
@@ -172,12 +175,12 @@ StatusOr<int> PlanSession::RollStrategy(Matrix q) {
   }
   std::lock_guard<std::mutex> lock(strategy_mutex_);
   const int version = session_.StageRoll(ReportDecoder::FromAnalysis(analysis));
-  strategies_[version] = std::move(q);
+  strategies_[version] = std::make_shared<const Matrix>(std::move(q));
   return version;
 }
 
 Status PlanServer::Accept(const Report& report) {
-  const int m = decoder_.m();
+  const int m = decoder_->m();
   if (Status valid = ValidateReport(report, m, kind_); !valid.ok()) {
     return valid;
   }
@@ -222,7 +225,7 @@ Status PlanSession::AcceptBatch(int shard, std::span<const Report> reports) {
 }
 
 WorkloadEstimate PlanServer::Estimate(EstimatorKind kind) const {
-  return EstimateWorkloadAnswers(decoder_, *workload_, aggregate_, count_,
+  return EstimateWorkloadAnswers(*decoder_, *workload_, aggregate_, count_,
                                  kind);
 }
 

@@ -123,14 +123,14 @@ class PlanServer {
 
  private:
   friend class Plan;
-  PlanServer(ReportDecoder decoder, std::shared_ptr<const Workload> workload,
-             ReportKind kind)
+  PlanServer(std::shared_ptr<const ReportDecoder> decoder,
+             std::shared_ptr<const Workload> workload, ReportKind kind)
       : decoder_(std::move(decoder)),
         workload_(std::move(workload)),
         kind_(kind),
-        aggregate_(decoder_.m(), 0.0) {}
+        aggregate_(decoder_->m(), 0.0) {}
 
-  ReportDecoder decoder_;
+  std::shared_ptr<const ReportDecoder> decoder_;  ///< The plan's, shared.
   std::shared_ptr<const Workload> workload_;
   ReportKind kind_;
   Vector aggregate_;
@@ -139,7 +139,9 @@ class PlanServer {
 
 /// The concurrent server half: a sharded CollectionSession (epoch sealing,
 /// windowed totals) plus a caching EstimateServer, wired to the plan's
-/// deployment. Create via Plan::StartSession.
+/// deployment. Create via Plan::StartSession. A session owns only what it
+/// mutates — the O(m) aggregator and its epoch history; the decoder and the
+/// version-0 strategy are the plan's own immutable objects, shared.
 class PlanSession {
  public:
   /// Ingests one report on the given shard; thread-safe. Same contract as
@@ -151,8 +153,9 @@ class PlanSession {
   /// Batched untrusted ingest, any report kind: the whole batch is validated
   /// first and rejected atomically — if any report is malformed, nothing is
   /// ingested and the Status names the offending position. The accepted
-  /// batch lands via the scratch-count path (one atomic per touched counter
-  /// per batch), so network endpoints can hand over whole request bodies.
+  /// batch lands through ShardedAggregator::AcceptBatch (at most one atomic
+  /// per report, never O(m) work for a short batch over a large alphabet),
+  /// so network endpoints can hand over whole request bodies.
   Status AcceptBatch(int shard, std::span<const Report> reports);
 
   /// Categorical batched hot path (trusted, pre-validated streams; aborts on
@@ -216,25 +219,29 @@ class PlanSession {
 
  private:
   friend class Plan;
-  PlanSession(ReportDecoder decoder, std::shared_ptr<const Workload> workload,
-              int num_shards, ReportKind kind, Matrix strategy, double epsilon,
-              WorkloadStats stats);
+  PlanSession(std::shared_ptr<const ReportDecoder> decoder,
+              std::shared_ptr<const Workload> workload, int num_shards,
+              ReportKind kind, std::shared_ptr<const Matrix> strategy,
+              double epsilon);
 
   CollectionSession session_;
   EstimateServer server_;
   double epsilon_ = 0.0;
-  WorkloadStats stats_;
 
-  // Strategy matrix by session version: version 0 is the plan's deployed
-  // strategy; rolls insert their matrix at stage time under the version
-  // StageRoll hands back, so the active version is always present. Empty
-  // for non-strategy deployments (which cannot roll).
+  // Strategy matrix by session version: version 0 points into the plan's
+  // mechanism (its deployed Q, not a copy); rolls insert their matrix at
+  // stage time under the version StageRoll hands back, so the active version
+  // is always present. Empty for non-strategy deployments (which cannot
+  // roll).
   mutable std::mutex strategy_mutex_;
-  std::map<int, Matrix> strategies_;
+  std::map<int, std::shared_ptr<const Matrix>> strategies_;
 };
 
 /// An immutable, fully-resolved deployment plan. Copyable; hands out client
-/// and server halves that share the plan's offline-computed artifacts.
+/// and server halves that share the plan's offline-computed artifacts: the
+/// reporter, the decoder (with its lazily cached WNNLS Lipschitz constant,
+/// so the power iteration runs once per plan, not once per session) and the
+/// deployed strategy are never copied.
 class Plan {
  public:
   static PlanBuilder For(std::shared_ptr<const Workload> workload);

@@ -34,20 +34,29 @@ Counter& EpochsRestored() {
 
 }  // namespace
 
-CollectionSession::CollectionSession(ReportDecoder decoder,
-                                     std::shared_ptr<const Workload> workload,
-                                     int num_shards, ReportKind report_kind)
+CollectionSession::CollectionSession(
+    std::shared_ptr<const ReportDecoder> decoder,
+    std::shared_ptr<const Workload> workload, int num_shards,
+    ReportKind report_kind)
     : decoder_(std::move(decoder)),
       workload_(std::move(workload)),
       num_shards_(num_shards),
       report_kind_(report_kind) {
+  WFM_CHECK(decoder_ != nullptr);
   WFM_CHECK(workload_ != nullptr);
-  WFM_CHECK_EQ(workload_->domain_size(), decoder_.n());
+  WFM_CHECK_EQ(workload_->domain_size(), decoder_->n());
   WFM_CHECK_GT(num_shards_, 0);
-  active_ = std::make_unique<ShardedAggregator>(decoder_.m(), num_shards_,
+  active_ = std::make_unique<ShardedAggregator>(decoder_->m(), num_shards_,
                                                 report_kind_);
-  decoders_.push_back(std::make_shared<const ReportDecoder>(decoder_));
+  decoders_.push_back(decoder_);
 }
+
+CollectionSession::CollectionSession(ReportDecoder decoder,
+                                     std::shared_ptr<const Workload> workload,
+                                     int num_shards, ReportKind report_kind)
+    : CollectionSession(
+          std::make_shared<const ReportDecoder>(std::move(decoder)),
+          std::move(workload), num_shards, report_kind) {}
 
 CollectionSession::CollectionSession(const FactorizationAnalysis& analysis,
                                      std::shared_ptr<const Workload> workload,
@@ -84,7 +93,7 @@ void CollectionSession::AcceptBitsBatch(int shard,
 
 EpochSnapshot CollectionSession::Seal() {
   ScopedTimer span(SealDuration());
-  auto fresh = std::make_unique<ShardedAggregator>(decoder_.m(), num_shards_,
+  auto fresh = std::make_unique<ShardedAggregator>(decoder_->m(), num_shards_,
                                                    report_kind_);
   std::unique_ptr<ShardedAggregator> sealed;
   {
@@ -121,9 +130,9 @@ int CollectionSession::strategy_version() const {
 }
 
 int CollectionSession::StageRoll(ReportDecoder decoder) {
-  WFM_CHECK_EQ(decoder.m(), decoder_.m())
+  WFM_CHECK_EQ(decoder.m(), decoder_->m())
       << "rolled decoder must keep the session's report dimension";
-  WFM_CHECK_EQ(decoder.n(), decoder_.n())
+  WFM_CHECK_EQ(decoder.n(), decoder_->n())
       << "rolled decoder must keep the session's domain size";
   std::lock_guard<std::mutex> lock(snapshots_mutex_);
   staged_decoder_ = std::make_shared<const ReportDecoder>(std::move(decoder));
@@ -170,11 +179,11 @@ StatusOr<std::shared_ptr<const EpochSnapshot>> CollectionSession::TrySnapshot(
 
 StatusOr<int> CollectionSession::RestoreSealedEpoch(
     const EpochSnapshot& snapshot) {
-  if (static_cast<int>(snapshot.histogram.size()) != decoder_.m()) {
+  if (static_cast<int>(snapshot.histogram.size()) != decoder_->m()) {
     return Status::InvalidArgument(
         "snapshot histogram has dimension " +
         std::to_string(snapshot.histogram.size()) +
-        ", session expects m = " + std::to_string(decoder_.m()));
+        ", session expects m = " + std::to_string(decoder_->m()));
   }
   if (snapshot.count < 0) {
     return Status::InvalidArgument("snapshot report count is negative: " +
@@ -207,13 +216,13 @@ EpochSnapshot CollectionSession::WindowTotal(int last_k) const {
   WFM_CHECK_GT(last_k, 0);
   std::lock_guard<std::mutex> lock(snapshots_mutex_);
   EpochSnapshot total;
-  total.histogram.assign(decoder_.m(), 0.0);
+  total.histogram.assign(decoder_->m(), 0.0);
   if (snapshots_.empty()) return total;
   const int end = static_cast<int>(snapshots_.size());
   const int begin = std::max(0, end - last_k);
   for (int e = begin; e < end; ++e) {
     const EpochSnapshot& snapshot = *snapshots_[e];
-    for (int o = 0; o < decoder_.m(); ++o) {
+    for (int o = 0; o < decoder_->m(); ++o) {
       total.histogram[o] += snapshot.histogram[o];
     }
     total.count += snapshot.count;

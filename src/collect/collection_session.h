@@ -75,8 +75,16 @@ struct EpochSnapshot {
 class CollectionSession {
  public:
   /// `decoder` is the offline-prepared server half of the deployment (its
-  /// m() fixes the report dimension); `workload` is what estimates answer;
-  /// `report_kind` must match what the deployment's Reporter emits.
+  /// m() fixes the report dimension), shared, not copied: every session of
+  /// a plan points at the plan's one decoder, so its B, its workload Gram
+  /// and its cached Lipschitz constant exist once. `workload` is what
+  /// estimates answer; `report_kind` must match what the deployment's
+  /// Reporter emits.
+  CollectionSession(std::shared_ptr<const ReportDecoder> decoder,
+                    std::shared_ptr<const Workload> workload, int num_shards,
+                    ReportKind report_kind = ReportKind::kCategorical);
+
+  /// Convenience for a decoder the session alone owns.
   CollectionSession(ReportDecoder decoder,
                     std::shared_ptr<const Workload> workload, int num_shards,
                     ReportKind report_kind = ReportKind::kCategorical);
@@ -86,13 +94,14 @@ class CollectionSession {
   CollectionSession(const FactorizationAnalysis& analysis,
                     std::shared_ptr<const Workload> workload, int num_shards);
 
-  /// The session's initial (version 0) decoder. After a roll, per-version
-  /// decode goes through DecoderForVersion(); this accessor stays pinned to
-  /// version 0 so references held across rolls never dangle.
-  const ReportDecoder& decoder() const { return decoder_; }
+  /// The session's initial (version 0) decoder — the same object as
+  /// DecoderForVersion(0). After a roll, per-version decode goes through
+  /// DecoderForVersion(); this accessor stays pinned to version 0 so
+  /// references held across rolls never dangle.
+  const ReportDecoder& decoder() const { return *decoder_; }
   const Workload& workload() const { return *workload_; }
   int num_shards() const { return num_shards_; }
-  int num_outputs() const { return decoder_.m(); }
+  int num_outputs() const { return decoder_->m(); }
   ReportKind report_kind() const { return report_kind_; }
 
   /// Ingests one report of any shape — the single kind-dispatched entry
@@ -103,8 +112,8 @@ class CollectionSession {
   /// rejects them with kInvalidArgument first.
   void Accept(int shard, const Report& report);
 
-  /// Kind-dispatched batched ingest: one report per element, scratch-count
-  /// aggregation per batch (see ShardedAggregator::AcceptBatch).
+  /// Kind-dispatched batched ingest: one report per element, aggregated per
+  /// batch as ShardedAggregator::AcceptBatch describes.
   void AcceptBatch(int shard, std::span<const Report> reports);
 
   /// Ingests a batch of categorical responses into the current epoch.
@@ -186,7 +195,7 @@ class CollectionSession {
   std::int64_t total_responses() const;
 
  private:
-  ReportDecoder decoder_;
+  std::shared_ptr<const ReportDecoder> decoder_;
   std::shared_ptr<const Workload> workload_;
   int num_shards_;
   ReportKind report_kind_;
@@ -201,8 +210,9 @@ class CollectionSession {
   std::int64_t sealed_count_ = 0;  ///< Total reports across sealed epochs.
 
   // Rollover state, guarded by snapshots_mutex_. decoders_[v] is the decoder
-  // for version v; index 0 aliases decoder_. staged_decoder_ is non-null
-  // between StageRoll() and the Seal() that activates it.
+  // for version v; decoders_[0] is decoder_ itself (the same pointer, never a
+  // copy). staged_decoder_ is non-null between StageRoll() and the Seal()
+  // that activates it.
   std::vector<std::shared_ptr<const ReportDecoder>> decoders_;
   std::shared_ptr<const ReportDecoder> staged_decoder_;
   int active_version_ = 0;

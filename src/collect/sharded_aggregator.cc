@@ -32,6 +32,35 @@ Counter& IngestBatches() {
   return counter;
 }
 
+// Below this batch length a scratch histogram costs more than it saves.
+constexpr std::size_t kScatterThreshold = 16;
+
+/// Lands one categorical batch on a shard's counters; `index_of` validates
+/// an element and returns its response index. Scratch counts cost O(m) to
+/// allocate, zero and scan and save one atomic per repeated response;
+/// direct adds cost one relaxed atomic per report. So the batch folds into
+/// scratch only when it is long and m is small next to it (m <= 4k): on a
+/// 2^20-output alphabet a 256-report batch would otherwise zero and scan
+/// 8 MB to place 256 counts. Either way the counters end at the same exact
+/// integers.
+template <typename Batch, typename IndexOf>
+void AddCategoricalBatch(std::vector<std::atomic<std::int64_t>>& counts,
+                         const Batch& batch, IndexOf index_of) {
+  const std::size_t k = batch.size();
+  const std::size_t m = counts.size();
+  if (k < kScatterThreshold || m > 4 * k) {
+    for (const auto& element : batch) {
+      counts[index_of(element)].fetch_add(1, std::memory_order_relaxed);
+    }
+    return;
+  }
+  std::vector<std::int64_t> local(m, 0);
+  for (const auto& element : batch) ++local[index_of(element)];
+  for (std::size_t o = 0; o < m; ++o) {
+    if (local[o] != 0) counts[o].fetch_add(local[o], std::memory_order_relaxed);
+  }
+}
+
 }  // namespace
 
 const char* KindName(ReportKind kind) {
@@ -81,9 +110,9 @@ void ShardedAggregator::Accept(int shard, const Report& report) {
 
 void ShardedAggregator::AcceptBatch(int shard,
                                     std::span<const Report> reports) {
-  // Small batches skip the scratch buffers (same break-even reasoning as
-  // AddBatch's kScatterThreshold; bit-vector and dense reports touch m
-  // counters each, so they amortize from the second report on).
+  // Small batches skip the scratch buffers (bit-vector and dense reports
+  // touch m counters each, so they amortize from the second report on;
+  // categorical batches choose per batch in AddCategoricalBatch).
   if (reports.size() < 2) {
     for (const Report& report : reports) Accept(shard, report);
     return;
@@ -91,20 +120,14 @@ void ShardedAggregator::AcceptBatch(int shard,
   Shard& s = GetShard(shard);
   switch (kind_) {
     case ReportKind::kCategorical: {
-      std::vector<std::int64_t> local(num_outputs_, 0);
-      for (const Report& report : reports) {
+      AddCategoricalBatch(s.counts, reports, [this](const Report& report) {
         WFM_CHECK(!report.is_bits() && !report.is_dense())
             << "non-categorical report in a categorical batch";
         WFM_CHECK(report.index >= 0 && report.index < num_outputs_)
             << "response out of range:" << report.index
             << "for m =" << num_outputs_;
-        ++local[report.index];
-      }
-      for (int o = 0; o < num_outputs_; ++o) {
-        if (local[o] != 0) {
-          s.counts[o].fetch_add(local[o], std::memory_order_relaxed);
-        }
-      }
+        return report.index;
+      });
       break;
     }
     case ReportKind::kBitVector: {
@@ -161,28 +184,12 @@ void ShardedAggregator::Add(int shard, int response) {
 void ShardedAggregator::AddBatch(int shard, std::span<const int> responses) {
   WFM_CHECK(kind_ == ReportKind::kCategorical)
       << "categorical AddBatch on a" << KindName(kind_) << "aggregator";
-  // Below this size the scratch histogram costs more than it saves.
-  constexpr std::size_t kScatterThreshold = 16;
   Shard& s = GetShard(shard);
-  if (responses.size() < kScatterThreshold) {
-    for (const int response : responses) {
-      WFM_CHECK(response >= 0 && response < num_outputs_)
-          << "response out of range:" << response << "for m =" << num_outputs_;
-      s.counts[response].fetch_add(1, std::memory_order_relaxed);
-    }
-  } else {
-    // Accumulate the batch into private scratch counts first, so the atomic
-    // traffic is one add per touched output rather than one per report.
-    std::vector<std::int64_t> local(num_outputs_, 0);
-    for (const int response : responses) {
-      WFM_CHECK(response >= 0 && response < num_outputs_)
-          << "response out of range:" << response << "for m =" << num_outputs_;
-      ++local[response];
-    }
-    for (int o = 0; o < num_outputs_; ++o) {
-      if (local[o] != 0) s.counts[o].fetch_add(local[o], std::memory_order_relaxed);
-    }
-  }
+  AddCategoricalBatch(s.counts, responses, [this](int response) {
+    WFM_CHECK(response >= 0 && response < num_outputs_)
+        << "response out of range:" << response << "for m =" << num_outputs_;
+    return response;
+  });
   s.total.fetch_add(static_cast<std::int64_t>(responses.size()),
                     std::memory_order_relaxed);
   IngestReports().AddAt(shard, static_cast<std::int64_t>(responses.size()));

@@ -5,10 +5,13 @@
 // needs the m-dimensional sum y, and addition commutes — so the aggregator
 // is an array of fixed-size shards, one per ingest worker. Workers bump
 // per-shard counters (relaxed atomics, cache-line padded so shards never
-// share a line); AddBatch first accumulates the batch into private scratch
-// counts so the atomic traffic is one add per touched output per batch, not
-// one per report. The server folds shards together with an O(shards x m)
-// Merge() when it wants the aggregate.
+// share a line). A categorical batch of k reports whose alphabet is small
+// next to it (m <= 4k) first accumulates into private scratch counts, so the
+// atomic traffic is one add per touched output per batch, not one per
+// report; a batch over a large alphabet adds each report straight to its
+// counter instead of allocating and scanning an O(m) scratch. The server
+// folds shards together with an O(shards x m) Merge() when it wants the
+// aggregate.
 //
 // Three report kinds cover every deployable mechanism (ldp/reporter.h):
 //   * kCategorical — strategy mechanisms; Add()/AddBatch() count response
@@ -73,10 +76,11 @@ class ShardedAggregator {
   /// layers reject untrusted malformed reports with Status first).
   void Accept(int shard, const Report& report);
 
-  /// Batched kind-dispatched ingest: one report per element. Every kind gets
-  /// the scratch-counts treatment — the batch accumulates into private
-  /// buffers first, so the atomic traffic is one add per touched counter per
-  /// batch, not one per report (per bit, for bit vectors).
+  /// Batched kind-dispatched ingest: one report per element. Dense and
+  /// bit-vector batches accumulate into private buffers first, so the atomic
+  /// traffic is one add per touched counter per batch, not one per report
+  /// (per bit, for bit vectors); categorical batches do the same when
+  /// m <= 4k and add each report directly otherwise (see AddBatch).
   void AcceptBatch(int shard, std::span<const Report> reports);
 
   /// Records one categorical response in [0, num_outputs) on the given
@@ -86,6 +90,8 @@ class ShardedAggregator {
   void Add(int shard, int response);
 
   /// Batched categorical hot path: validates and records every response.
+  /// Uses O(m) scratch only when k >= 16 and m <= 4k; otherwise each
+  /// response is one relaxed atomic add.
   void AddBatch(int shard, std::span<const int> responses);
 
   /// Batched bit-vector hot path: `reports` is k concatenated m-bit reports

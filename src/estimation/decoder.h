@@ -108,7 +108,8 @@ class ReportDecoder {
   /// 2·λ_max(G): the Lipschitz constant of the WNNLS gradient for this
   /// deployment's workload. Computed by power iteration on first use and
   /// cached, so repeated consistent decodes (one per served estimate) pay
-  /// for it once. For factored decoders λ_max(⊗ G_i) = Π λ_max(G_i), so the
+  /// for it once — once per plan, since every session of a plan shares its
+  /// decoder. For factored decoders λ_max(⊗ G_i) = Π λ_max(G_i), so the
   /// power iteration runs per factor. Thread-safe; a racing first call
   /// recomputes the same value.
   double GramLipschitz() const;

@@ -9,9 +9,4 @@ LocalRandomizer::LocalRandomizer(const Matrix& q) : num_outputs_(q.rows()) {
   }
 }
 
-int LocalRandomizer::Respond(int user_type, Rng& rng) const {
-  WFM_CHECK(user_type >= 0 && user_type < num_types());
-  return samplers_[user_type].Sample(rng);
-}
-
 }  // namespace wfm

@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "common/check.h"
 #include "linalg/matrix.h"
 #include "linalg/rng.h"
 #include "linalg/samplers.h"
@@ -19,7 +20,10 @@ class LocalRandomizer {
   explicit LocalRandomizer(const Matrix& q);
 
   /// Randomized response o = M_Q(u), an index in [0, num_outputs()).
-  int Respond(int user_type, Rng& rng) const;
+  int Respond(int user_type, Rng& rng) const {
+    WFM_CHECK(user_type >= 0 && user_type < num_types());
+    return samplers_[user_type].Sample(rng);
+  }
 
   int num_outputs() const { return num_outputs_; }
   int num_types() const { return static_cast<int>(samplers_.size()); }

@@ -28,27 +28,27 @@ FactoredStrategyReporter::FactoredStrategyReporter(
       << "composed output alphabet exceeds int";
   n_ = static_cast<int>(n);
   m_ = static_cast<int>(m);
+  // type_strides_[i] = Π_{j > i} n_j, the place value of factor i's digit.
+  type_strides_.assign(factors.size(), 1);
+  for (std::size_t i = factors.size() - 1; i > 0; --i) {
+    type_strides_[i - 1] = type_strides_[i] * factors[i].cols();
+  }
 }
 
 Report FactoredStrategyReporter::Respond(int user_type, Rng& rng) const {
   WFM_CHECK(user_type >= 0 && user_type < n_)
       << "user type out of range:" << user_type << "for n =" << n_;
-  const int k = num_factors();
-  // Mixed-radix decompose (factor 0 most significant): peel from the least
-  // significant end.
-  std::vector<int> types(k);
+  // Mixed-radix decompose (factor 0 most significant) from the most
+  // significant digit down, sampling each factor as its digit appears: the
+  // RNG is consumed in factor index order and nothing is allocated. The
+  // output index is the same flattening of the factor outputs.
   int rest = user_type;
-  for (int i = k - 1; i >= 0; --i) {
-    const int ni = randomizers_[i].num_types();
-    types[i] = rest % ni;
-    rest /= ni;
-  }
-  // Sample factors in index order (deterministic RNG consumption), then
-  // flatten the factor outputs with the same convention.
   int out = 0;
-  for (int i = 0; i < k; ++i) {
-    const int oi = randomizers_[i].Respond(types[i], rng);
-    out = out * randomizers_[i].num_outputs() + oi;
+  for (std::size_t i = 0; i < randomizers_.size(); ++i) {
+    const int type = rest / type_strides_[i];
+    rest -= type * type_strides_[i];
+    out = out * randomizers_[i].num_outputs() +
+          randomizers_[i].Respond(type, rng);
   }
   Report report;
   report.index = out;

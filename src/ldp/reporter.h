@@ -113,6 +113,7 @@ class FactoredStrategyReporter final : public Reporter {
 
  private:
   std::vector<LocalRandomizer> randomizers_;
+  std::vector<int> type_strides_;  ///< Place value of each factor's type.
   int n_ = 1;
   int m_ = 1;
 };

@@ -18,10 +18,24 @@ class Rng {
   /// state for any seed value (including 0).
   explicit Rng(std::uint64_t seed);
 
-  std::uint64_t NextUint64();
+  /// Next raw 64-bit output (xoshiro256++, Blackman & Vigna). Defined here
+  /// so per-report samplers inline it.
+  std::uint64_t NextUint64() {
+    const std::uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1) with 53 random bits.
-  double NextDouble();
+  double NextDouble() {
+    return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [a, b).
   double Uniform(double a, double b);
@@ -47,6 +61,10 @@ class Rng {
   Rng Fork();
 
  private:
+  static std::uint64_t Rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;

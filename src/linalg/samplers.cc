@@ -73,9 +73,17 @@ std::int64_t BinomialBtrs(Rng& rng, std::int64_t n, double p) {
 
 }  // namespace
 
-AliasSampler::AliasSampler(const std::vector<double>& weights) {
-  const int n = static_cast<int>(weights.size());
+UniformIndex::UniformIndex(int n) {
   WFM_CHECK_GT(n, 0);
+  // The only divisions: once per table, never per draw.
+  n_ = static_cast<std::uint64_t>(n);
+  limit_ = UINT64_MAX - UINT64_MAX % n_;
+  reciprocal_ = UINT64_MAX / n_;
+}
+
+AliasSampler::AliasSampler(const std::vector<double>& weights)
+    : index_(static_cast<int>(weights.size())) {
+  const int n = static_cast<int>(weights.size());
   double total = 0.0;
   for (double w : weights) {
     WFM_CHECK_GE(w, 0.0) << "alias weights must be non-negative";
@@ -107,12 +115,6 @@ AliasSampler::AliasSampler(const std::vector<double>& weights) {
   // Leftovers are 1 up to round-off.
   for (int i : large) prob_[i] = 1.0;
   for (int i : small) prob_[i] = 1.0;
-}
-
-int AliasSampler::Sample(Rng& rng) const {
-  const int n = static_cast<int>(prob_.size());
-  const int i = rng.UniformInt(n);
-  return rng.NextDouble() < prob_[i] ? i : alias_[i];
 }
 
 std::int64_t SampleBinomial(Rng& rng, std::int64_t n, double p) {

@@ -100,7 +100,8 @@ StatusOr<Deployment> FactoredStrategyMechanism::Deploy(
   }
   return Deployment{
       std::make_shared<FactoredStrategyReporter>(strategy_.factors),
-      ReportDecoder(std::move(b_factors), workload), std::move(profile)};
+      std::make_shared<const ReportDecoder>(std::move(b_factors), workload),
+      std::move(profile)};
 }
 
 }  // namespace wfm

@@ -96,8 +96,10 @@ StatusOr<Deployment> StrategyMechanism::Deploy(
   ErrorProfile profile;
   profile.phi = fa.PerUserVariance();
   profile.num_queries = workload.p;
-  return Deployment{std::make_shared<StrategyReporter>(q_),
-                    ReportDecoder::FromAnalysis(fa), std::move(profile)};
+  return Deployment{
+      std::make_shared<StrategyReporter>(q_),
+      std::make_shared<const ReportDecoder>(ReportDecoder::FromAnalysis(fa)),
+      std::move(profile)};
 }
 
 FactorizationAnalysis StrategyMechanism::AnalyzeFactorization(

@@ -54,10 +54,12 @@ struct ErrorProfile {
 /// The two halves of a runnable deployment for one (mechanism, workload)
 /// pair: what runs on each device and how the server decodes the aggregate,
 /// plus the error profile of that deployment on the workload (computed from
-/// the same analysis, so Deploy() callers never re-derive it).
+/// the same analysis, so Deploy() callers never re-derive it). Both halves
+/// are immutable and shared: every client, server and session of a plan
+/// points at the same reporter and decoder.
 struct Deployment {
   std::shared_ptr<const Reporter> reporter;
-  ReportDecoder decoder;
+  std::shared_ptr<const ReportDecoder> decoder;
   ErrorProfile profile;
 };
 

@@ -53,7 +53,8 @@ StatusOr<Deployment> OueMechanism::Deploy(const WorkloadStats& workload) const {
                  "the WorkloadStats with WorkloadStats::From");
   }
   return Deployment{std::make_shared<BitVectorReporter>(n_, 0.5, q_),
-                    ReportDecoder(AffineDebias{0.5, q_}, workload),
+                    std::make_shared<const ReportDecoder>(
+                        AffineDebias{0.5, q_}, workload),
                     Analyze(workload)};
 }
 

@@ -43,7 +43,8 @@ StatusOr<Deployment> RapporMechanism::Deploy(const WorkloadStats& workload) cons
   }
   const double p = 1.0 - f_;
   return Deployment{std::make_shared<BitVectorReporter>(n_, p, f_),
-                    ReportDecoder(AffineDebias{p, f_}, workload),
+                    std::make_shared<const ReportDecoder>(
+                        AffineDebias{p, f_}, workload),
                     Analyze(workload)};
 }
 

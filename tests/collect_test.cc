@@ -307,6 +307,30 @@ TEST(CollectionSessionTest, WindowTotalSumsTheLastKEpochs) {
   EXPECT_EQ(session->total_responses(), 6);
 }
 
+TEST(CollectionSessionTest, SessionsShareOneDecoderAcrossVersionsAndSessions) {
+  const int n = 6;
+  auto workload = std::make_shared<const HistogramWorkload>(n);
+  const auto decoder = std::make_shared<const ReportDecoder>(
+      ReportDecoder::FromAnalysis(FactorizationAnalysis(
+          RandomizedResponseMechanism::BuildStrategy(n, 1.0),
+          WorkloadStats::From(*workload))));
+  CollectionSession first(decoder, workload, /*num_shards=*/1);
+  CollectionSession second(decoder, workload, /*num_shards=*/2);
+  EXPECT_EQ(&first.decoder(), decoder.get());
+  EXPECT_EQ(&second.decoder(), decoder.get());
+  EXPECT_EQ(first.DecoderForVersion(0), decoder);
+
+  // A roll adds a version without disturbing the shared version 0.
+  first.StageRoll(ReportDecoder::FromAnalysis(FactorizationAnalysis(
+      RandomizedResponseMechanism::BuildStrategy(n, 0.5),
+      WorkloadStats::From(*workload))));
+  first.Seal();
+  EXPECT_EQ(first.strategy_version(), 1);
+  EXPECT_NE(first.DecoderForVersion(1), decoder);
+  EXPECT_EQ(first.DecoderForVersion(0).get(), &first.decoder());
+  EXPECT_EQ(second.strategy_version(), 0);
+}
+
 TEST(EstimateServerTest, ServesTheSameAnswersAsTheOfflinePipeline) {
   const int n = 8;
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 1.0);

@@ -27,6 +27,7 @@
 #include "estimation/wnnls.h"
 #include "linalg/kron.h"
 #include "linalg/rng.h"
+#include "linalg/samplers.h"
 #include "linalg/symmetric_eigen.h"
 #include "mechanisms/factored.h"
 #include "workload/workload.h"
@@ -362,6 +363,63 @@ TEST(FactoredReporterTest, RespondMatchesComposedStrategyColumn) {
         5.0 * std::sqrt(std::max(expected * (1 - expected), 1e-4) / trials);
     EXPECT_NEAR(observed, expected, slack) << "output " << o;
   }
+}
+
+TEST(FactoredReporterTest, PlanRespondStreamMatchesReferenceDecomposition) {
+  // A 3-factor plan past the dense ceiling (n = 8192) deploys the factored
+  // reporter. For a fixed seed its stream must equal the reference
+  // decomposition: peel the user type mixed-radix from the least
+  // significant factor with % and /, then draw factors in index order, each
+  // as UniformInt(m_i) over the factor column's alias table followed by one
+  // NextDouble(), and flatten the outputs factor 0 first.
+  std::shared_ptr<const Workload> workload =
+      ParseWorkload("Prefix(16)xHistogram(16)xPrefix(32)");
+  OptimizerConfig optimizer;
+  optimizer.iterations = 20;
+  optimizer.step_search_iterations = 4;
+  optimizer.seed = 5;
+  const StatusOr<Plan> plan = Plan::For(workload)
+                                  .Epsilon(1.0)
+                                  .Mechanism("Optimized")
+                                  .Optimizer(optimizer)
+                                  .Build();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const auto* mechanism =
+      dynamic_cast<const FactoredStrategyMechanism*>(&plan.value().mechanism());
+  ASSERT_NE(mechanism, nullptr) << "test premise: factored deployment";
+  const std::vector<Matrix>& factors = mechanism->strategy().factors;
+  ASSERT_EQ(factors.size(), 3u);
+  std::vector<std::vector<AliasSampler>> tables(factors.size());
+  for (std::size_t i = 0; i < factors.size(); ++i) {
+    for (int u = 0; u < factors[i].cols(); ++u) {
+      tables[i].emplace_back(factors[i].Col(u));
+    }
+  }
+
+  const PlanClient client = plan.value().Client();
+  const int n = workload->domain_size();
+  Rng rng(99);
+  Rng reference(99);
+  for (int t = 0; t < 30000; ++t) {
+    const int type = static_cast<int>((7919LL * t) % n);
+    std::vector<int> types(factors.size());
+    int rest = type;
+    for (int i = static_cast<int>(factors.size()) - 1; i >= 0; --i) {
+      types[i] = rest % factors[i].cols();
+      rest /= factors[i].cols();
+    }
+    int expected = 0;
+    for (std::size_t i = 0; i < factors.size(); ++i) {
+      const AliasSampler& column = tables[i][types[i]];
+      const int e = reference.UniformInt(column.size());
+      const int o = reference.NextDouble() < column.probability(e)
+                        ? e
+                        : column.alias(e);
+      expected = expected * factors[i].rows() + o;
+    }
+    ASSERT_EQ(client.Respond(type, rng).index, expected) << "report " << t;
+  }
+  EXPECT_EQ(rng.NextUint64(), reference.NextUint64());
 }
 
 // --- end-to-end deployment past the dense ceiling -------------------------

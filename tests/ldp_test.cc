@@ -7,15 +7,18 @@
 // they are not literal 5σ expressions.
 
 #include <cmath>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "api/plan.h"
 #include "core/factorization.h"
 #include "ldp/local_randomizer.h"
 #include "ldp/protocol.h"
 #include "linalg/rng.h"
+#include "linalg/samplers.h"
 #include "mechanisms/randomized_response.h"
 #include "workload/histogram.h"
 #include "workload/prefix.h"
@@ -36,6 +39,39 @@ TEST(LocalRandomizerTest, RespondsAccordingToColumn) {
     const double expect = q(o, 2) * trials;
     EXPECT_NEAR(counts[o], expect, 5.0 * std::sqrt(expect) + 1.0) << "output " << o;
   }
+}
+
+TEST(StrategyReporterTest, RespondStreamMatchesTheReferenceDrawForAFixedSeed) {
+  // A deployed plan's client must emit, for a fixed seed, exactly the
+  // stream of the textbook draw on its Q: per report, UniformInt(m) picks
+  // an alias-table entry of the user's column and one NextDouble() decides
+  // between the entry and its alias.
+  OptimizerConfig optimizer;
+  optimizer.seed = 7;
+  const StatusOr<Plan> plan = Plan::For(std::make_shared<PrefixWorkload>(16))
+                                  .Epsilon(1.0)
+                                  .Mechanism("Optimized")
+                                  .Optimizer(optimizer)
+                                  .Build();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const Matrix* q = plan.value().DeployedStrategy();
+  ASSERT_NE(q, nullptr);
+  std::vector<AliasSampler> columns;
+  for (int u = 0; u < q->cols(); ++u) columns.emplace_back(q->Col(u));
+
+  const PlanClient client = plan.value().Client();
+  Rng rng(2024);
+  Rng reference(2024);
+  for (int t = 0; t < 50000; ++t) {
+    const int type = (t * 7) % q->cols();
+    const AliasSampler& column = columns[type];
+    const int i = reference.UniformInt(column.size());
+    const int expected = reference.NextDouble() < column.probability(i)
+                             ? i
+                             : column.alias(i);
+    ASSERT_EQ(client.Respond(type, rng).index, expected) << "report " << t;
+  }
+  EXPECT_EQ(rng.NextUint64(), reference.NextUint64());
 }
 
 TEST(ResponseAggregatorTest, CountsResponses) {

@@ -15,6 +15,7 @@
 //      error to analyzed variance lives in mechanism_conformance_test.cc.)
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -495,6 +496,105 @@ TEST(PlanSessionTest, BatchIngestValidatesAtomically) {
   EXPECT_EQ(session->session().pending_responses(), 5);
   const EpochSnapshot sealed = session->Seal();
   EXPECT_EQ(sealed.count, 5);
+}
+
+TEST(PlanSessionTest, SessionsShareThePlansDecoderAndStrategy) {
+  auto workload = std::make_shared<HistogramWorkload>(6);
+  const StatusOr<Plan> built = Plan::For(workload)
+                                   .Epsilon(1.0)
+                                   .Mechanism("Randomized Response")
+                                   .Build();
+  ASSERT_TRUE(built.ok());
+  std::unique_ptr<PlanSession> first = built.value().StartSession(1);
+  std::unique_ptr<PlanSession> second = built.value().StartSession(2);
+  const Plan copy = built.value();
+  std::unique_ptr<PlanSession> third = copy.StartSession(1);
+
+  // One decoder object behind every session of the plan (and of its copies),
+  // and it is the session's version-0 decoder, not a copy of it.
+  const ReportDecoder* decoder = &first->session().decoder();
+  EXPECT_EQ(&second->session().decoder(), decoder);
+  EXPECT_EQ(&third->session().decoder(), decoder);
+  EXPECT_EQ(first->session().DecoderForVersion(0).get(), decoder);
+  EXPECT_EQ(second->session().DecoderForVersion(0).get(), decoder);
+
+  // The served strategy is the plan's Q, bit for bit.
+  const Matrix* q = built.value().DeployedStrategy();
+  ASSERT_NE(q, nullptr);
+  const StatusOr<StrategySnapshot> current = second->CurrentStrategy();
+  ASSERT_TRUE(current.ok()) << current.status().ToString();
+  EXPECT_EQ(current.value().version, 0);
+  EXPECT_EQ(current.value().epsilon, 1.0);
+  ASSERT_EQ(current.value().q.rows(), q->rows());
+  ASSERT_EQ(current.value().q.cols(), q->cols());
+  EXPECT_EQ(std::memcmp(current.value().q.data(), q->data(),
+                        sizeof(double) * q->rows() * q->cols()),
+            0);
+
+  // Sessions of one plan still aggregate independently.
+  Report report;
+  report.index = 2;
+  ASSERT_TRUE(first->Accept(0, report).ok());
+  EXPECT_EQ(first->session().pending_responses(), 1);
+  EXPECT_EQ(second->session().pending_responses(), 0);
+}
+
+TEST(PlanSessionTest, RollStrategyValidatesAgainstTheDecodersStats) {
+  // PlanSession keeps no WorkloadStats of its own: a roll is checked and
+  // decoded against the stats the shared version-0 decoder carries.
+  const int n = 6;
+  auto workload = std::make_shared<HistogramWorkload>(n);
+  const StatusOr<Plan> built = Plan::For(workload)
+                                   .Epsilon(1.0)
+                                   .Mechanism("Randomized Response")
+                                   .Build();
+  ASSERT_TRUE(built.ok());
+  std::unique_ptr<PlanSession> session = built.value().StartSession(1);
+  const ReportDecoder& initial = session->session().decoder();
+
+  EXPECT_EQ(session->RollStrategy(Matrix(n, n - 1)).status().code(),
+            StatusCode::kInvalidArgument);  // Wrong domain.
+  EXPECT_EQ(session->RollStrategy(
+                       RandomizedResponseMechanism::BuildStrategy(n, 3.0))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);  // Spends more than the budget.
+
+  const Matrix q1 = RandomizedResponseMechanism::BuildStrategy(n, 0.5);
+  const StatusOr<int> staged = session->RollStrategy(q1);
+  ASSERT_TRUE(staged.ok()) << staged.status().ToString();
+  EXPECT_EQ(staged.value(), 1);
+  EXPECT_EQ(session->CurrentStrategy().value().version, 0);  // Until Seal.
+
+  Report report;
+  report.index = 1;
+  ASSERT_TRUE(session->Accept(0, report).ok());
+  EXPECT_EQ(session->Seal().strategy_version, 0);
+  const StatusOr<StrategySnapshot> rolled = session->CurrentStrategy();
+  ASSERT_TRUE(rolled.ok());
+  EXPECT_EQ(rolled.value().version, 1);
+  EXPECT_EQ(std::memcmp(rolled.value().q.data(), q1.data(),
+                        sizeof(double) * n * n),
+            0);
+  const std::shared_ptr<const ReportDecoder> v1 =
+      session->session().DecoderForVersion(1);
+  ASSERT_NE(v1, nullptr);
+  EXPECT_NE(v1.get(), &initial);
+  EXPECT_EQ(&session->session().decoder(), &initial);  // Pinned to v0.
+  EXPECT_EQ(v1->workload_stats().gram.rows(), n);
+
+  // Devices re-encode under the rolled strategy.
+  const StrategyReporter rolled_client(q1);
+  Rng rng(8);
+  for (int r = 0; r < 600; ++r) {
+    ASSERT_TRUE(session->Accept(0, rolled_client.Respond(r % n, rng)).ok());
+  }
+  EXPECT_EQ(session->Seal().strategy_version, 1);
+  const StatusOr<WorkloadEstimate> estimate =
+      session->EstimateWindow(2, EstimatorKind::kWnnls);
+  ASSERT_TRUE(estimate.ok()) << estimate.status().ToString();
+  ASSERT_EQ(estimate.value().data_vector.size(), static_cast<std::size_t>(n));
+  for (double v : estimate.value().data_vector) EXPECT_TRUE(std::isfinite(v));
 }
 
 TEST(PlanSessionTest, SnapshotAccessAndRestoreRoundTrip) {

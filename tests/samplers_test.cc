@@ -7,6 +7,8 @@
 #include "linalg/samplers.h"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -47,6 +49,73 @@ TEST(AliasSamplerTest, DegenerateDistribution) {
   Rng rng(24);
   AliasSampler sampler({0.0, 0.0, 7.0});
   for (int i = 0; i < 100; ++i) EXPECT_EQ(sampler.Sample(rng), 2);
+}
+
+// --- bit identity with the division-based reference draw -----------------
+
+constexpr int kIndexSizes[] = {1, 2, 3, 7, 1024,
+                               std::numeric_limits<int>::max()};
+
+TEST(UniformIndexTest, DrawsMatchUniformIntDrawForDraw) {
+  for (const int n : kIndexSizes) {
+    const UniformIndex index(n);
+    Rng fast(90 + n % 97);
+    Rng reference(90 + n % 97);
+    for (int t = 0; t < 20000; ++t) {
+      ASSERT_EQ(index.Draw(fast), reference.UniformInt(n))
+          << "n = " << n << ", draw " << t;
+    }
+    // Same raw outputs consumed: the streams stay in lockstep afterwards.
+    EXPECT_EQ(fast.NextUint64(), reference.NextUint64()) << "n = " << n;
+  }
+}
+
+TEST(UniformIndexTest, ModIsExactAtTheEdgesOfTheRange) {
+  for (const int n : kIndexSizes) {
+    const UniformIndex index(n);
+    const std::uint64_t un = static_cast<std::uint64_t>(n);
+    const std::uint64_t limit = UINT64_MAX - UINT64_MAX % un;
+    ASSERT_EQ(index.limit(), limit) << "n = " << n;
+    std::vector<std::uint64_t> edges;
+    for (std::uint64_t d = 0; d < 4; ++d) {
+      edges.push_back(d);
+      edges.push_back(UINT64_MAX - d);
+      edges.push_back(limit - 1 - d);  // Largest accepted outputs.
+      edges.push_back(limit + d);      // Rejected, but Mod stays exact.
+      edges.push_back(un * d);
+      edges.push_back(un * d + un - 1);
+    }
+    edges.push_back(un * (UINT64_MAX / un));
+    edges.push_back(un * (UINT64_MAX / un) - 1);
+    Rng rng(5);
+    for (int t = 0; t < 20000; ++t) edges.push_back(rng.NextUint64());
+    for (const std::uint64_t r : edges) {
+      ASSERT_EQ(index.Mod(r), r % un) << "n = " << n << ", r = " << r;
+    }
+  }
+}
+
+TEST(AliasSamplerTest, SampleMatchesTheDivisionBasedReferenceDrawForDraw) {
+  // The reference formula: UniformInt(n), then one NextDouble() against the
+  // drawn entry's probability.
+  for (const int n : {1, 2, 3, 7, 1024}) {
+    Rng weights_rng(300 + n);
+    std::vector<double> weights(n);
+    for (double& w : weights) w = weights_rng.NextDouble();
+    weights[0] += 1e-3;  // Positive total.
+    const AliasSampler sampler(weights);
+    Rng fast(40 + n);
+    Rng reference(40 + n);
+    for (int t = 0; t < 20000; ++t) {
+      const int i = reference.UniformInt(n);
+      const int expected = reference.NextDouble() < sampler.probability(i)
+                               ? i
+                               : sampler.alias(i);
+      ASSERT_EQ(sampler.Sample(fast), expected)
+          << "n = " << n << ", draw " << t;
+    }
+    EXPECT_EQ(fast.NextUint64(), reference.NextUint64()) << "n = " << n;
+  }
 }
 
 TEST(BinomialTest, EdgeCases) {
