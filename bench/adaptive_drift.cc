@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
         const bool is_static = session == session_static.get();
         (is_static ? trial_static_exp : trial_adaptive_exp)[epoch] =
             ExpectedShareMse(serving.q, stats, truth, devices, queries);
-        const wfm::LocalRandomizer randomizer(serving.q);
+        const wfm::StrategyReporter reporter(serving.q);
         for (int d = 0; d < devices; ++d) {
           // Inverse-CDF draw of the device's true type.
           const double u = rng.Uniform(0.0, 1.0);
@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
             }
           }
           wfm::Report report;
-          report.index = randomizer.Respond(type, rng);
+          report.index = reporter.RespondIndex(type, rng);
           if (!session->Accept(0, report).ok()) return 1;
         }
       }

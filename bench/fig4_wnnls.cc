@@ -7,6 +7,7 @@
 // Default here:  n = 128, synthetic HEPTH stand-in, 60 simulations.
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 
 #include "bench/bench_util.h"
@@ -46,7 +47,8 @@ int main(int argc, char** argv) {
     const wfm::WorkloadStats stats = wfm::WorkloadStats::From(*workload);
     const wfm::OptimizedMechanism mech(stats, eps,
                                        wfm::bench::BenchOptimizerConfig(flags));
-    const wfm::FactorizationAnalysis fa = mech.AnalyzeFactorization(stats);
+    const wfm::ReportDecoder decoder =
+        wfm::ReportDecoder::FromAnalysis(mech.AnalyzeFactorization(stats));
     const wfm::Vector truth = workload->Apply(data.histogram);
 
     wfm::Rng rng(77);
@@ -54,10 +56,11 @@ int main(int argc, char** argv) {
     for (int t = 0; t < trials; ++t) {
       const wfm::Vector y =
           wfm::SimulateResponseHistogram(mech.strategy(), data.histogram, rng);
+      const std::int64_t num_reports = std::llround(wfm::Sum(y));
       const auto unbiased = wfm::EstimateWorkloadAnswers(
-          fa, *workload, y, wfm::EstimatorKind::kUnbiased);
+          decoder, *workload, y, num_reports, wfm::EstimatorKind::kUnbiased);
       const auto consistent = wfm::EstimateWorkloadAnswers(
-          fa, *workload, y, wfm::EstimatorKind::kWnnls);
+          decoder, *workload, y, num_reports, wfm::EstimatorKind::kWnnls);
       for (std::size_t i = 0; i < truth.size(); ++i) {
         err_default += std::pow(unbiased.query_answers[i] - truth[i], 2);
         err_wnnls += std::pow(consistent.query_answers[i] - truth[i], 2);

@@ -1,11 +1,12 @@
 // Throughput of the concurrent collection pipeline: reports/sec through
 // CollectionSession::Accept as a function of ingest thread count and shard
-// count, against the serial ResponseAggregator baseline.
+// count, against a serial baseline (one batch into a 1-shard
+// ShardedAggregator, no session and no threads).
 //
 // Not a paper figure — this measures the subsystem the paper assumes exists
 // (the server that absorbs millions of one-round reports before Theorem 3.10
 // reconstruction runs). Reports are pre-randomized through the real
-// LocalRandomizer so the measured loop is exactly the server's ingest path:
+// StrategyReporter so the measured loop is exactly the server's ingest path:
 // shared-lock acquire, per-report range validation, relaxed per-shard
 // increment. Every trial ends with Seal() and a served estimate so the
 // whole ingest -> seal -> answer loop is exercised.
@@ -15,10 +16,10 @@
 // Shard count follows the thread count unless --shards is given.
 //
 // A second table covers the bit-vector (RAPPOR/OUE) ingest paths: per-report
-// Accept (m atomic adds per report) against the batched AcceptBitsBatch
+// Accept (m atomic adds per report) against the batched AcceptBatch
 // scratch-count path (the whole batch folds into private integers, then one
-// atomic add per touched counter) — the server-side half of the wire
-// format's packed reports. Disable with --bits=false.
+// atomic add per touched counter) — what the wire service runs for a
+// kAcceptBatch frame of packed reports. Disable with --bits=false.
 //
 // --out=path (default BENCH_throughput.json) writes every best-of-trials
 // rate as {"scenario", "reports_per_sec", "threads"} so CI can keep a
@@ -38,8 +39,7 @@
 #include "collect/estimate_server.h"
 #include "common/timer.h"
 #include "estimation/estimator.h"
-#include "ldp/local_randomizer.h"
-#include "ldp/protocol.h"
+#include "ldp/reporter.h"
 #include "linalg/rng.h"
 #include "mechanisms/randomized_response.h"
 #include "workload/histogram.h"
@@ -49,11 +49,12 @@ namespace {
 // One timed trial: T threads stream disjoint slices of `reports` into a
 // fresh session, then the epoch is sealed and one estimate is served.
 // Returns ingest seconds (seal/serve excluded from the rate).
-double RunTrial(const wfm::FactorizationAnalysis& analysis,
+double RunTrial(std::shared_ptr<const wfm::ReportDecoder> decoder,
                 std::shared_ptr<const wfm::Workload> workload,
                 const std::vector<int>& reports, int threads, int shards,
                 int batch) {
-  wfm::CollectionSession session(analysis, std::move(workload), shards);
+  wfm::CollectionSession session(std::move(decoder), std::move(workload),
+                                 shards);
   std::vector<std::thread> workers;
   workers.reserve(threads);
   wfm::Stopwatch timer;
@@ -78,21 +79,19 @@ double RunTrial(const wfm::FactorizationAnalysis& analysis,
   const wfm::WorkloadEstimate estimate =
       server.Serve(wfm::EstimatorKind::kUnbiased).value();
   WFM_CHECK_EQ(static_cast<std::int64_t>(estimate.query_answers.size()),
-               static_cast<std::int64_t>(analysis.n()));
+               static_cast<std::int64_t>(session.decoder().n()));
   WFM_CHECK_EQ(session.total_responses(),
                static_cast<std::int64_t>(reports.size()));
   return ingest_seconds;
 }
 
-// One timed bit-vector trial: T threads stream disjoint slices of a
-// concatenated k x m bit stream into a fresh aggregator, per-report or
-// batched. `reports` carries the same stream pre-split into Report objects
-// (built outside the timed region) so the per-report path measures pure
-// ingest through the kind-dispatched Accept. Returns reports/sec.
-double RunBitsTrial(const std::vector<std::uint8_t>& stream,
-                    const std::vector<wfm::Report>& reports, int m,
+// One timed bit-vector trial: T threads stream disjoint slices of
+// pre-built bit-vector Reports (built outside the timed region) into a fresh
+// aggregator, one kind-dispatched Accept per report or one AcceptBatch per
+// `batch` reports. Returns reports/sec.
+double RunBitsTrial(const std::vector<wfm::Report>& reports, int m,
                     int threads, int batch, bool batched) {
-  const int total_reports = static_cast<int>(stream.size()) / m;
+  const int total_reports = static_cast<int>(reports.size());
   wfm::ShardedAggregator agg(m, threads, wfm::ReportKind::kBitVector);
   std::vector<std::thread> workers;
   workers.reserve(threads);
@@ -103,11 +102,8 @@ double RunBitsTrial(const std::vector<std::uint8_t>& stream,
       const int end = total_reports * (t + 1) / threads;
       for (int pos = begin; pos < end; pos += batch) {
         const int k = std::min(batch, end - pos);
-        const std::span<const std::uint8_t> slice(
-            stream.data() + static_cast<std::size_t>(pos) * m,
-            static_cast<std::size_t>(k) * m);
         if (batched) {
-          agg.AddBitsBatch(t, slice);
+          agg.AcceptBatch(t, std::span<const wfm::Report>(&reports[pos], k));
         } else {
           for (int i = 0; i < k; ++i) agg.Accept(t, reports[pos + i]);
         }
@@ -175,19 +171,21 @@ int main(int argc, char** argv) {
   // Pre-randomize the report stream once through the real client path.
   const wfm::Matrix q = wfm::RandomizedResponseMechanism::BuildStrategy(n, eps);
   auto workload = std::make_shared<const wfm::HistogramWorkload>(n);
-  const wfm::FactorizationAnalysis analysis(
-      q, wfm::WorkloadStats::From(*workload));
-  const wfm::LocalRandomizer randomizer(q);
+  const auto decoder = std::make_shared<const wfm::ReportDecoder>(
+      wfm::ReportDecoder::FromAnalysis(
+          wfm::FactorizationAnalysis(q, wfm::WorkloadStats::From(*workload))));
+  const wfm::StrategyReporter reporter(q);
   wfm::Rng rng(7);
   std::vector<int> reports(num_reports);
-  for (int& r : reports) r = randomizer.Respond(rng.UniformInt(n), rng);
+  for (int& r : reports) r = reporter.RespondIndex(rng.UniformInt(n), rng);
 
-  // Serial baseline: the single-threaded reference aggregator.
+  // Serial baseline: the whole stream as one batch into a 1-shard
+  // aggregator, on the calling thread.
   double serial_best = 0.0;
   for (int trial = 0; trial < trials; ++trial) {
-    wfm::ResponseAggregator serial(q.rows());
+    wfm::ShardedAggregator serial(q.rows(), /*num_shards=*/1);
     wfm::Stopwatch timer;
-    serial.AddBatch(reports);
+    serial.AddBatch(0, reports);
     const double rate = num_reports / timer.ElapsedSeconds();
     serial_best = std::max(serial_best, rate);
   }
@@ -207,7 +205,7 @@ int main(int argc, char** argv) {
     double best_rate = 0.0;
     for (int trial = 0; trial < trials; ++trial) {
       const double seconds =
-          RunTrial(analysis, workload, reports, threads, shards, batch);
+          RunTrial(decoder, workload, reports, threads, shards, batch);
       best_rate = std::max(best_rate, num_reports / seconds);
     }
     if (base_rate == 0.0) base_rate = best_rate;  // First row is the base.
@@ -224,33 +222,28 @@ int main(int argc, char** argv) {
     // path, at the same report volume over an m = n unary encoding.
     const int bit_reports = std::max(1, num_reports / 8);
     wfm::bench::PrintHeader(
-        "Bit-vector ingest: per-report Accept vs batched AddBitsBatch",
+        "Bit-vector ingest: per-report Accept vs batched AcceptBatch",
         "one atomic per set bit vs one atomic per touched counter per batch",
         "m = " + std::to_string(n) + ", " + std::to_string(bit_reports) +
             " reports, batch " + std::to_string(batch) + ", best of " +
             std::to_string(trials));
-    std::vector<std::uint8_t> stream(static_cast<std::size_t>(bit_reports) *
-                                     n);
-    for (std::uint8_t& bit : stream) {
-      bit = static_cast<std::uint8_t>(rng.UniformInt(2));
-    }
     std::vector<wfm::Report> bit_report_objects(bit_reports);
-    for (int i = 0; i < bit_reports; ++i) {
-      bit_report_objects[i].bits.assign(
-          stream.data() + static_cast<std::size_t>(i) * n,
-          stream.data() + static_cast<std::size_t>(i + 1) * n);
+    for (wfm::Report& report : bit_report_objects) {
+      report.bits.resize(n);
+      for (std::uint8_t& bit : report.bits) {
+        bit = static_cast<std::uint8_t>(rng.UniformInt(2));
+      }
     }
     wfm::TablePrinter bits_table(
         {"threads", "path", "reports/sec", "batched vs per-report"});
     for (const int threads : thread_counts) {
       double per_report = 0.0, batched = 0.0;
       for (int trial = 0; trial < trials; ++trial) {
-        per_report = std::max(per_report,
-                              RunBitsTrial(stream, bit_report_objects, n,
-                                           threads, batch, false));
-        batched = std::max(batched,
-                           RunBitsTrial(stream, bit_report_objects, n,
-                                        threads, batch, true));
+        per_report = std::max(
+            per_report,
+            RunBitsTrial(bit_report_objects, n, threads, batch, false));
+        batched = std::max(
+            batched, RunBitsTrial(bit_report_objects, n, threads, batch, true));
       }
       entries.push_back({"bits_per_report", per_report, threads});
       entries.push_back({"bits_batched", batched, threads});

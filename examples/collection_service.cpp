@@ -112,13 +112,13 @@ int main(int argc, char** argv) {
                   serving.status().ToString().c_str());
       return 1;
     }
-    const wfm::LocalRandomizer randomizer(serving.value().q);
+    const wfm::StrategyReporter device(serving.value().q);
 
     std::vector<int> reports;
     reports.reserve(devices_per_epoch);
     for (int u = 0; u < n; ++u) {
       for (int j = 0; j < static_cast<int>(truth[u]); ++j) {
-        reports.push_back(randomizer.Respond(u, rng));
+        reports.push_back(device.RespondIndex(u, rng));
       }
     }
     std::vector<std::thread> workers;

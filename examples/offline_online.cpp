@@ -18,6 +18,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <memory>
 
 #include "wfm.h"  // Public umbrella API: all wfm modules.
 
@@ -101,18 +102,20 @@ int RunOnline(const std::string& path, int num_users) {
   wfm::Rng rng(2025);
   wfm::UniformBucketizer bucketizer(0.0, 3600.0, kBuckets);
   const wfm::PlanClient client = plan.Client();
-  wfm::PlanServer server = plan.Server();
+  const std::unique_ptr<wfm::PlanSession> server =
+      plan.StartSession(/*num_shards=*/1);
   wfm::Vector truth(kBuckets, 0.0);
   for (int i = 0; i < num_users; ++i) {
     const double duration = std::exp(rng.Normal(5.5, 1.0));  // Seconds.
     const int type = bucketizer.BucketOf(duration);
     truth[type] += 1.0;
-    server.Accept(client.Respond(type, rng));  // Only this leaves the device.
+    server->Accept(0, client.Respond(type, rng));  // Only this leaves a device.
   }
 
   // --- Server-side reconstruction ------------------------------------------
+  server->Seal();
   const wfm::WorkloadEstimate estimate =
-      server.Estimate(wfm::EstimatorKind::kWnnls);
+      server->Estimate(wfm::EstimatorKind::kWnnls).value();
   const wfm::Vector true_cdf = workload->Apply(truth);
 
   std::printf("\n[online] session-duration CDF from %d users:\n", num_users);

@@ -4,13 +4,14 @@
 // ever seeing an individual grade. One Build() call optimizes an LDP
 // strategy for the workload (Algorithm 2, offline, no privacy cost) and
 // hands back the deployment: every student runs plan.Client() on their own
-// grade, the school runs plan.Server() over the reports.
+// grade, the school runs a plan.StartSession() over the reports.
 //
 // Build & run:  ./build/examples/quickstart [--eps=1.0] [--students=5000]
 //                                           [--mechanism=Optimized]
 
 #include <cmath>
 #include <cstdio>
+#include <memory>
 
 #include "wfm.h"  // Public umbrella API: all wfm modules.
 
@@ -45,13 +46,16 @@ int main(int argc, char** argv) {
   // Each student randomizes locally; the school reconstructs.
   wfm::Rng rng(2024);
   const wfm::PlanClient client = plan.Client();
-  wfm::PlanServer server = plan.Server();
+  const std::unique_ptr<wfm::PlanSession> server =
+      plan.StartSession(/*num_shards=*/1);
   for (int u = 0; u < n; ++u) {
     for (int j = 0; j < static_cast<int>(truth[u]); ++j) {
-      server.Accept(client.Respond(u, rng));  // The only data sent.
+      server->Accept(0, client.Respond(u, rng));  // The only data sent.
     }
   }
-  const wfm::WorkloadEstimate estimate = server.Estimate(wfm::EstimatorKind::kWnnls);
+  server->Seal();  // Close the collection round.
+  const wfm::WorkloadEstimate estimate =
+      server->Estimate(wfm::EstimatorKind::kWnnls).value();
 
   std::printf("%-6s %12s %12s %10s\n", "grade", "true count", "estimate", "error");
   for (int u = 0; u < n; ++u) {

@@ -28,10 +28,10 @@ Counter& ReportsRejected() {
 }
 
 /// Shape validation for reports arriving from untrusted devices, shared by
-/// the serial PlanServer and the concurrent PlanSession so both serving
-/// surfaces reject the same malformed inputs instead of aborting. `kind` is
-/// the deployment's report kind; a report of any other shape is rejected
-/// before it can reach a kind-checking abort (or silently skew a histogram).
+/// PlanSession's single and batched ingest so both reject the same malformed
+/// inputs instead of aborting. `kind` is the deployment's report kind; a
+/// report of any other shape is rejected before it can reach a
+/// kind-checking abort (or silently skew a histogram).
 Status ValidateReport(const Report& report, int m, ReportKind kind) {
   const ReportKind shape = report.is_bits()    ? ReportKind::kBitVector
                            : report.is_dense() ? ReportKind::kDense
@@ -179,22 +179,6 @@ StatusOr<int> PlanSession::RollStrategy(Matrix q) {
   return version;
 }
 
-Status PlanServer::Accept(const Report& report) {
-  const int m = decoder_->m();
-  if (Status valid = ValidateReport(report, m, kind_); !valid.ok()) {
-    return valid;
-  }
-  if (report.is_bits()) {
-    for (int o = 0; o < m; ++o) aggregate_[o] += report.bits[o];
-  } else if (report.is_dense()) {
-    for (int o = 0; o < m; ++o) aggregate_[o] += report.dense[o];
-  } else {
-    aggregate_[report.index] += 1.0;
-  }
-  ++count_;
-  return Status::Ok();
-}
-
 Status PlanSession::Accept(int shard, const Report& report) {
   if (Status valid = ValidateReport(report, session_.num_outputs(),
                                     session_.report_kind());
@@ -224,11 +208,6 @@ Status PlanSession::AcceptBatch(int shard, std::span<const Report> reports) {
   return Status::Ok();
 }
 
-WorkloadEstimate PlanServer::Estimate(EstimatorKind kind) const {
-  return EstimateWorkloadAnswers(*decoder_, *workload_, aggregate_, count_,
-                                 kind);
-}
-
 StatusOr<Plan> PlanBuilder::Build() const {
   if (workload_ == nullptr) {
     return Status::InvalidArgument("Plan::For requires a non-null workload");
@@ -240,7 +219,7 @@ StatusOr<Plan> PlanBuilder::Build() const {
   }
   const MechanismRegistry& registry =
       registry_ != nullptr ? *registry_ : MechanismRegistry::Global();
-  WorkloadStats stats = WorkloadStats::From(*workload_);
+  const WorkloadStats stats = WorkloadStats::From(*workload_);
 
   std::shared_ptr<const wfm::Mechanism> mechanism;
   if (!fixed_strategy_.empty()) {
@@ -285,7 +264,7 @@ StatusOr<Plan> PlanBuilder::Build() const {
   StatusOr<Deployment> deployment = mechanism->Deploy(stats);
   if (!deployment.ok()) return deployment.status();
 
-  return Plan(workload_, std::move(stats), epsilon_, std::move(mechanism),
+  return Plan(workload_, epsilon_, std::move(mechanism),
               std::move(deployment).value());
 }
 

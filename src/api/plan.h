@@ -11,14 +11,14 @@
 // a deployment:
 //
 //   plan.Client()             on-device reporter (ldp/reporter.h)
-//   plan.Server()             serial one-round aggregator + estimator
-//   plan.StartSession(k)      concurrent service: collect/CollectionSession
-//                             sharded over k workers + cached EstimateServer
+//   plan.StartSession(k)      the server: collect/CollectionSession sharded
+//                             over k workers + cached EstimateServer (k = 1
+//                             ingests in arrival order, for a serial round)
 //
 // Mechanism names resolve through MechanismRegistry::Global(), so every
 // registered mechanism — the six Section 6.1 baselines, "Optimized", the
 // "RAPPOR"/"OUE" frequency oracles, and anything user-registered — deploys
-// through the same three calls.
+// through the same calls.
 //
 // Strategy-based sessions additionally support adaptive serving: the
 // deployed strategy is exposed (Plan::DeployedStrategy,
@@ -99,44 +99,6 @@ class PlanClient {
   std::shared_ptr<const Reporter> reporter_;
 };
 
-/// The serial server half of a plan: one round of the paper's protocol —
-/// accumulate every report, then reconstruct. Single-threaded reference
-/// path, bit-identical to manual ResponseAggregator wiring; use
-/// Plan::StartSession for the concurrent epoch-based service.
-class PlanServer {
- public:
-  /// Accumulates one report. Reports arrive from untrusted devices, so
-  /// malformed ones — a shape that does not match the deployment's report
-  /// kind, a dense or bit-vector report whose dimension mismatches the
-  /// deployment's m, a bit entry outside {0, 1}, an out-of-range categorical
-  /// index — are rejected with kInvalidArgument and leave the aggregate
-  /// untouched, rather than aborting the server.
-  Status Accept(const Report& report);
-
-  /// Current m-dimensional aggregate (response histogram / report sum).
-  const Vector& aggregate() const { return aggregate_; }
-  /// Reports accepted so far — the N that affine decoders debias against.
-  std::int64_t num_reports() const { return count_; }
-
-  /// Workload answers from everything accepted so far.
-  WorkloadEstimate Estimate(EstimatorKind kind = EstimatorKind::kWnnls) const;
-
- private:
-  friend class Plan;
-  PlanServer(std::shared_ptr<const ReportDecoder> decoder,
-             std::shared_ptr<const Workload> workload, ReportKind kind)
-      : decoder_(std::move(decoder)),
-        workload_(std::move(workload)),
-        kind_(kind),
-        aggregate_(decoder_->m(), 0.0) {}
-
-  std::shared_ptr<const ReportDecoder> decoder_;  ///< The plan's, shared.
-  std::shared_ptr<const Workload> workload_;
-  ReportKind kind_;
-  Vector aggregate_;
-  std::int64_t count_ = 0;
-};
-
 /// The concurrent server half: a sharded CollectionSession (epoch sealing,
 /// windowed totals) plus a caching EstimateServer, wired to the plan's
 /// deployment. Create via Plan::StartSession. A session owns only what it
@@ -144,9 +106,12 @@ class PlanServer {
 /// version-0 strategy are the plan's own immutable objects, shared.
 class PlanSession {
  public:
-  /// Ingests one report on the given shard; thread-safe. Same contract as
-  /// PlanServer::Accept: malformed reports from untrusted devices are
-  /// rejected with kInvalidArgument (never ingested), not a process abort.
+  /// Ingests one report on the given shard; thread-safe. Reports arrive from
+  /// untrusted devices, so malformed ones — a shape that does not match the
+  /// deployment's report kind, a dense or bit-vector report whose dimension
+  /// mismatches the deployment's m, a non-finite dense entry, a bit entry
+  /// outside {0, 1}, an out-of-range categorical index — are rejected with
+  /// kInvalidArgument and never ingested, rather than aborting the server.
   /// Shard ids are caller-controlled, so an out-of-range shard still aborts.
   Status Accept(int shard, const Report& report);
 
@@ -239,16 +204,20 @@ class PlanSession {
 
 /// An immutable, fully-resolved deployment plan. Copyable; hands out client
 /// and server halves that share the plan's offline-computed artifacts: the
-/// reporter, the decoder (with its lazily cached WNNLS Lipschitz constant,
-/// so the power iteration runs once per plan, not once per session) and the
-/// deployed strategy are never copied.
+/// reporter, the decoder (with the workload statistics and its lazily cached
+/// WNNLS Lipschitz constant, so the power iteration runs once per plan, not
+/// once per session) and the deployed strategy are never copied.
 class Plan {
  public:
   static PlanBuilder For(std::shared_ptr<const Workload> workload);
 
   const Workload& workload() const { return *workload_; }
   std::shared_ptr<const Workload> workload_ptr() const { return workload_; }
-  const WorkloadStats& stats() const { return stats_; }
+  /// The workload statistics the plan was built from — the decoder's own
+  /// copy, so a plan holds one n x n Gram, not two.
+  const WorkloadStats& stats() const {
+    return deployment_.decoder->workload_stats();
+  }
   double epsilon() const { return epsilon_; }
 
   /// The resolved mechanism (name via mechanism().Name()).
@@ -275,25 +244,19 @@ class Plan {
   const Matrix* DeployedStrategy() const;
 
   PlanClient Client() const { return PlanClient(deployment_.reporter); }
-  PlanServer Server() const {
-    return PlanServer(deployment_.decoder, workload_, report_kind());
-  }
   std::unique_ptr<PlanSession> StartSession(int num_shards) const;
 
  private:
   friend class PlanBuilder;
-  Plan(std::shared_ptr<const Workload> workload, WorkloadStats stats,
-       double epsilon, std::shared_ptr<const Mechanism> mechanism,
-       Deployment deployment)
+  Plan(std::shared_ptr<const Workload> workload, double epsilon,
+       std::shared_ptr<const Mechanism> mechanism, Deployment deployment)
       : workload_(std::move(workload)),
-        stats_(std::move(stats)),
         epsilon_(epsilon),
         mechanism_(std::move(mechanism)),
         mechanism_name_(mechanism_->Name()),
         deployment_(std::move(deployment)) {}
 
   std::shared_ptr<const Workload> workload_;
-  WorkloadStats stats_;
   double epsilon_ = 0.0;
   std::shared_ptr<const Mechanism> mechanism_;
   std::string mechanism_name_;

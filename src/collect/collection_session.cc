@@ -51,27 +51,9 @@ CollectionSession::CollectionSession(
   decoders_.push_back(decoder_);
 }
 
-CollectionSession::CollectionSession(ReportDecoder decoder,
-                                     std::shared_ptr<const Workload> workload,
-                                     int num_shards, ReportKind report_kind)
-    : CollectionSession(
-          std::make_shared<const ReportDecoder>(std::move(decoder)),
-          std::move(workload), num_shards, report_kind) {}
-
-CollectionSession::CollectionSession(const FactorizationAnalysis& analysis,
-                                     std::shared_ptr<const Workload> workload,
-                                     int num_shards)
-    : CollectionSession(ReportDecoder::FromAnalysis(analysis),
-                        std::move(workload), num_shards,
-                        ReportKind::kCategorical) {}
-
 void CollectionSession::Accept(int shard, std::span<const int> responses) {
   std::shared_lock<std::shared_mutex> lock(ingest_mutex_);
   active_->AddBatch(shard, responses);
-}
-
-void CollectionSession::Accept(int shard, int response) {
-  Accept(shard, std::span<const int>(&response, 1));
 }
 
 void CollectionSession::Accept(int shard, const Report& report) {
@@ -83,12 +65,6 @@ void CollectionSession::AcceptBatch(int shard,
                                     std::span<const Report> reports) {
   std::shared_lock<std::shared_mutex> lock(ingest_mutex_);
   active_->AcceptBatch(shard, reports);
-}
-
-void CollectionSession::AcceptBitsBatch(int shard,
-                                        std::span<const std::uint8_t> reports) {
-  std::shared_lock<std::shared_mutex> lock(ingest_mutex_);
-  active_->AddBitsBatch(shard, reports);
 }
 
 EpochSnapshot CollectionSession::Seal() {

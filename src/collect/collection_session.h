@@ -53,7 +53,6 @@
 
 #include "collect/sharded_aggregator.h"
 #include "common/status.h"
-#include "core/factorization.h"
 #include "estimation/decoder.h"
 #include "ldp/reporter.h"
 #include "linalg/matrix.h"
@@ -84,16 +83,6 @@ class CollectionSession {
                     std::shared_ptr<const Workload> workload, int num_shards,
                     ReportKind report_kind = ReportKind::kCategorical);
 
-  /// Convenience for a decoder the session alone owns.
-  CollectionSession(ReportDecoder decoder,
-                    std::shared_ptr<const Workload> workload, int num_shards,
-                    ReportKind report_kind = ReportKind::kCategorical);
-
-  /// Strategy-mechanism convenience: decodes through the factorization's
-  /// optimal reconstruction; ingests categorical responses.
-  CollectionSession(const FactorizationAnalysis& analysis,
-                    std::shared_ptr<const Workload> workload, int num_shards);
-
   /// The session's initial (version 0) decoder — the same object as
   /// DecoderForVersion(0). After a roll, per-version decode goes through
   /// DecoderForVersion(); this accessor stays pinned to version 0 so
@@ -119,12 +108,6 @@ class CollectionSession {
   /// Ingests a batch of categorical responses into the current epoch.
   /// Thread-safe; aborts on out-of-range responses or shard ids.
   void Accept(int shard, std::span<const int> responses);
-  void Accept(int shard, int response);
-
-  /// Batched bit-vector hot path: k concatenated m-bit reports (size must be
-  /// a multiple of num_outputs()); one atomic add per touched counter per
-  /// batch (ShardedAggregator::AddBitsBatch).
-  void AcceptBitsBatch(int shard, std::span<const std::uint8_t> reports);
 
   /// Freezes the current epoch and starts a new one. Returns the sealed
   /// snapshot (also retained in the session's history). Waits for in-flight

@@ -224,40 +224,6 @@ void ShardedAggregator::AddBits(int shard, std::span<const std::uint8_t> report)
   IngestReports().AddAt(shard, 1);
 }
 
-void ShardedAggregator::AddBitsBatch(int shard,
-                                     std::span<const std::uint8_t> reports) {
-  WFM_CHECK(kind_ == ReportKind::kBitVector)
-      << "bit-vector AddBitsBatch on a" << KindName(kind_) << "aggregator";
-  WFM_CHECK_EQ(static_cast<int>(reports.size()) % num_outputs_, 0)
-      << "bit batch of" << static_cast<int>(reports.size())
-      << "bytes is not a multiple of m =" << num_outputs_;
-  const std::int64_t k =
-      static_cast<std::int64_t>(reports.size()) / num_outputs_;
-  if (k == 1) {
-    AddBits(shard, reports);
-    return;
-  }
-  Shard& s = GetShard(shard);
-  // Per-batch scratch counts: the whole batch folds into private integers
-  // first, so the atomic traffic is one add per touched counter rather than
-  // one per set bit (the dense-AddBatch treatment, applied to bits).
-  std::vector<std::int64_t> local(num_outputs_, 0);
-  for (std::size_t pos = 0; pos < reports.size(); pos += num_outputs_) {
-    for (int o = 0; o < num_outputs_; ++o) {
-      const std::uint8_t bit = reports[pos + o];
-      WFM_CHECK_LE(bit, 1) << "bit report entry out of range:"
-                           << static_cast<int>(bit) << "at coordinate" << o;
-      local[o] += bit;
-    }
-  }
-  for (int o = 0; o < num_outputs_; ++o) {
-    if (local[o] != 0) s.counts[o].fetch_add(local[o], std::memory_order_relaxed);
-  }
-  s.total.fetch_add(k, std::memory_order_relaxed);
-  IngestReports().AddAt(shard, k);
-  IngestBatches().AddAt(shard, 1);
-}
-
 Vector ShardedAggregator::Merge() const {
   Vector y(num_outputs_, 0.0);
   for (const auto& shard : shards_) {

@@ -16,12 +16,12 @@
 // Three report kinds cover every deployable mechanism (ldp/reporter.h):
 //   * kCategorical — strategy mechanisms; Add()/AddBatch() count response
 //     indices. Counts are kept as integers, so Merge() over a quiescent
-//     aggregator is *exactly* the Vector a serial ResponseAggregator would
-//     produce for the same report stream, independent of shard assignment
-//     and thread interleaving (integer sums are associative; doubles
-//     represent them exactly below 2^53).
-//   * kBitVector — unary-encoding frequency oracles (RAPPOR, OUE);
-//     AddBits() counts the set bits of each n-bit report per coordinate.
+//     aggregator is *exactly* the response histogram of the report stream
+//     (y_o = #{reports == o}), independent of shard assignment and thread
+//     interleaving (integer sums are associative; doubles represent them
+//     exactly below 2^53).
+//   * kBitVector — unary-encoding frequency oracles (RAPPOR, OUE); each
+//     n-bit report adds its set bits to the per-coordinate counts.
 //     Same integer counters as kCategorical, so the exactness guarantee
 //     carries over; one report bumps up to m counters but the report total
 //     by exactly one (the count feeds the affine debias x̂ = (y − Nq)/(p−q)).
@@ -94,13 +94,6 @@ class ShardedAggregator {
   /// response is one relaxed atomic add.
   void AddBatch(int shard, std::span<const int> responses);
 
-  /// Batched bit-vector hot path: `reports` is k concatenated m-bit reports
-  /// (size must be a multiple of num_outputs()). The batch accumulates into
-  /// per-batch scratch counts, so the atomic traffic is one add per touched
-  /// counter — matching the dense AddBatch treatment — instead of one per
-  /// set bit. Counts k reports toward num_responses().
-  void AddBitsBatch(int shard, std::span<const std::uint8_t> reports);
-
   /// Folds all shards into one aggregate, O(num_shards x num_outputs).
   /// Categorical: exact (bit-identical to serial aggregation) once ingestion
   /// has stopped. Dense: exact up to floating-point commutation.
@@ -117,7 +110,7 @@ class ShardedAggregator {
   /// Records one m-bit report on the given shard (kBitVector only). Entries
   /// must be 0 or 1; anything else aborts (corrupt report stream). Counts
   /// one report toward num_responses(). Reached through Accept()'s kind
-  /// dispatch; batches should prefer AddBitsBatch.
+  /// dispatch; batches should go through AcceptBatch.
   void AddBits(int shard, std::span<const std::uint8_t> report);
 
   // One worker's partial aggregate. alignas keeps the hot `total` counters

@@ -14,7 +14,7 @@
 //     x_hat = (y - N q 1) / (p - q), with p = P(bit = 1 | true bit = 1) and
 //     q = P(bit = 1 | true bit = 0). The map is affine in y, not linear, so
 //     the decoder carries (p, q) and callers supply N at decode time
-//     (EpochSnapshot::count / PlanServer::num_reports()).
+//     (EpochSnapshot::count).
 //
 // The WNNLS consistent estimate (Appendix A) additionally needs only the
 // workload Gram matrix, so (decode factor, WorkloadStats) is the complete
@@ -51,7 +51,7 @@ class ReportDecoder {
 
   /// Affine decoder (m = n = stats.n): debiases n-bit-vector aggregates as
   /// x_hat = (y - N q 1)/(p - q). Decoding requires the report count N, so
-  /// callers must use the count-taking EstimateDataVector overload.
+  /// callers must pass the true N to EstimateDataVector.
   ReportDecoder(AffineDebias debias, WorkloadStats stats);
 
   /// Factored (Kronecker) decoder: per-factor reconstruction factors B_i

@@ -1,20 +1,16 @@
 // End-to-end estimation pipeline: report aggregate -> data-vector estimate
 // -> workload answers. Bundles the unbiased path (V y = W (B y)) and the
-// consistent WNNLS path behind one call used by the examples and Figure 4.
-//
-// The ReportDecoder overload is the general entry point (any deployable
-// mechanism, see estimation/decoder.h); the FactorizationAnalysis overload
-// is the strategy-mechanism special case and produces bit-identical output.
-// Affine decoders (RAPPOR/OUE bit-vector deployments) debias against the
-// report count N, so the count-taking overload is the one every serving path
-// (PlanServer, EstimateServer) routes through.
+// consistent WNNLS path behind one call, for any deployable mechanism's
+// decoder (estimation/decoder.h); a strategy factorization decodes through
+// ReportDecoder::FromAnalysis. Affine decoders (RAPPOR/OUE bit-vector
+// deployments) debias against the report count N, so the call always takes
+// it; collect/EstimateServer routes every served estimate through here.
 
 #ifndef WFM_ESTIMATION_ESTIMATOR_H_
 #define WFM_ESTIMATION_ESTIMATOR_H_
 
 #include <cstdint>
 
-#include "core/factorization.h"
 #include "estimation/decoder.h"
 #include "estimation/wnnls.h"
 #include "workload/workload.h"
@@ -38,20 +34,6 @@ WorkloadEstimate EstimateWorkloadAnswers(const ReportDecoder& decoder,
                                          const Workload& workload,
                                          const Vector& aggregate,
                                          std::int64_t num_reports,
-                                         EstimatorKind kind);
-
-/// Count-free convenience for linear decoders; aborts on an affine decoder,
-/// whose debiasing would silently be wrong without N.
-WorkloadEstimate EstimateWorkloadAnswers(const ReportDecoder& decoder,
-                                         const Workload& workload,
-                                         const Vector& aggregate,
-                                         EstimatorKind kind);
-
-/// Strategy-mechanism convenience: decodes through the factorization's
-/// optimal reconstruction B (Theorem 3.10).
-WorkloadEstimate EstimateWorkloadAnswers(const FactorizationAnalysis& analysis,
-                                         const Workload& workload,
-                                         const Vector& response_histogram,
                                          EstimatorKind kind);
 
 }  // namespace wfm

@@ -1,25 +1,13 @@
 #include "ldp/protocol.h"
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "common/check.h"
 #include "linalg/samplers.h"
 
 namespace wfm {
-
-ResponseAggregator::ResponseAggregator(int num_outputs)
-    : histogram_(num_outputs, 0.0) {
-  WFM_CHECK_GT(num_outputs, 0);
-}
-
-void ResponseAggregator::Add(int response) {
-  WFM_CHECK(response >= 0 && response < static_cast<int>(histogram_.size()));
-  histogram_[response] += 1.0;
-  ++count_;
-}
-
-void ResponseAggregator::AddBatch(std::span<const int> responses) {
-  for (const int response : responses) Add(response);
-}
 
 Vector SimulateResponseHistogram(const Matrix& q, const Vector& x, Rng& rng) {
   WFM_CHECK_EQ(q.cols(), static_cast<int>(x.size()));
@@ -33,20 +21,6 @@ Vector SimulateResponseHistogram(const Matrix& q, const Vector& x, Rng& rng) {
     for (int o = 0; o < q.rows(); ++o) y[o] += static_cast<double>(draws[o]);
   }
   return y;
-}
-
-Vector SimulateResponseHistogramPerUser(const Matrix& q, const Vector& x,
-                                        Rng& rng) {
-  const LocalRandomizer randomizer(q);
-  ResponseAggregator aggregator(q.rows());
-  for (int u = 0; u < q.cols(); ++u) {
-    const std::int64_t count = std::llround(x[u]);
-    WFM_CHECK_GE(count, 0);
-    for (std::int64_t j = 0; j < count; ++j) {
-      aggregator.Add(randomizer.Respond(u, rng));
-    }
-  }
-  return aggregator.histogram();
 }
 
 }  // namespace wfm

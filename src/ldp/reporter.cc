@@ -6,9 +6,14 @@
 
 namespace wfm {
 
+StrategyReporter::StrategyReporter(const Matrix& q) : num_outputs_(q.rows()) {
+  samplers_.reserve(q.cols());
+  for (int u = 0; u < q.cols(); ++u) samplers_.emplace_back(q.Col(u));
+}
+
 Report StrategyReporter::Respond(int user_type, Rng& rng) const {
   Report report;
-  report.index = randomizer_.Respond(user_type, rng);
+  report.index = RespondIndex(user_type, rng);
   return report;
 }
 
@@ -17,9 +22,9 @@ FactoredStrategyReporter::FactoredStrategyReporter(
   WFM_CHECK(!factors.empty()) << "factored reporter needs at least one factor";
   std::int64_t n = 1;
   std::int64_t m = 1;
-  randomizers_.reserve(factors.size());
+  factors_.reserve(factors.size());
   for (const Matrix& q : factors) {
-    randomizers_.emplace_back(q);
+    factors_.emplace_back(q);
     n = CheckedMulNonNegative(n, q.cols());
     m = CheckedMulNonNegative(m, q.rows());
   }
@@ -44,11 +49,11 @@ Report FactoredStrategyReporter::Respond(int user_type, Rng& rng) const {
   // output index is the same flattening of the factor outputs.
   int rest = user_type;
   int out = 0;
-  for (std::size_t i = 0; i < randomizers_.size(); ++i) {
+  for (std::size_t i = 0; i < factors_.size(); ++i) {
     const int type = rest / type_strides_[i];
     rest -= type * type_strides_[i];
-    out = out * randomizers_[i].num_outputs() +
-          randomizers_[i].Respond(type, rng);
+    out = out * factors_[i].num_outputs() +
+          factors_[i].RespondIndex(type, rng);
   }
   Report report;
   report.index = out;

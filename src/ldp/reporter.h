@@ -25,9 +25,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "ldp/local_randomizer.h"
+#include "common/check.h"
 #include "linalg/matrix.h"
 #include "linalg/rng.h"
+#include "linalg/samplers.h"
 
 namespace wfm {
 
@@ -72,22 +73,30 @@ class Reporter {
   virtual Report Respond(int user_type, Rng& rng) const = 0;
 };
 
-/// Categorical reporter over a column-stochastic strategy matrix; draws
-/// exactly like LocalRandomizer::Respond (same RNG consumption), so a
-/// Reporter-based pipeline is bit-identical to manual wiring.
+/// Categorical reporter over a column-stochastic strategy matrix: the client
+/// side of a strategy-matrix mechanism (Definition 2.5). Each column of Q is
+/// compiled into an alias table once, so responding is O(1) per user.
 class StrategyReporter final : public Reporter {
  public:
-  explicit StrategyReporter(const Matrix& q) : randomizer_(q) {}
+  /// `q` must be column-stochastic (columns are response distributions).
+  explicit StrategyReporter(const Matrix& q);
 
-  int num_outputs() const override { return randomizer_.num_outputs(); }
-  int num_types() const override { return randomizer_.num_types(); }
+  int num_outputs() const override { return num_outputs_; }
+  int num_types() const override { return static_cast<int>(samplers_.size()); }
   bool dense_reports() const override { return false; }
   Report Respond(int user_type, Rng& rng) const override;
 
-  const LocalRandomizer& randomizer() const { return randomizer_; }
+  /// The randomized response o = M_Q(u) alone, an index in
+  /// [0, num_outputs()); Respond() wraps exactly this draw (same RNG
+  /// consumption) in a Report.
+  int RespondIndex(int user_type, Rng& rng) const {
+    WFM_CHECK(user_type >= 0 && user_type < num_types());
+    return samplers_[user_type].Sample(rng);
+  }
 
  private:
-  LocalRandomizer randomizer_;
+  std::vector<AliasSampler> samplers_;  // One per user type (column).
+  int num_outputs_;
 };
 
 /// Categorical reporter for a Kronecker-factored strategy Q = ⊗ Q_i: the
@@ -108,11 +117,10 @@ class FactoredStrategyReporter final : public Reporter {
   bool dense_reports() const override { return false; }
   Report Respond(int user_type, Rng& rng) const override;
 
-  int num_factors() const { return static_cast<int>(randomizers_.size()); }
-  const LocalRandomizer& randomizer(int i) const { return randomizers_[i]; }
+  int num_factors() const { return static_cast<int>(factors_.size()); }
 
  private:
-  std::vector<LocalRandomizer> randomizers_;
+  std::vector<StrategyReporter> factors_;
   std::vector<int> type_strides_;  ///< Place value of each factor's type.
   int n_ = 1;
   int m_ = 1;

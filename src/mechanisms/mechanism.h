@@ -104,8 +104,8 @@ class StrategyMechanism : public Mechanism {
   ErrorProfile Analyze(const WorkloadStats& workload) const override;
   StatusOr<ErrorProfile> TryAnalyze(const WorkloadStats& workload) const override;
 
-  /// Deployable on any workload in the strategy's row space: the client is a
-  /// LocalRandomizer-backed StrategyReporter, the server decodes through the
+  /// Deployable on any workload in the strategy's row space: the client is
+  /// an alias-table StrategyReporter, the server decodes through the
   /// Theorem 3.10 reconstruction.
   StatusOr<Deployment> Deploy(const WorkloadStats& workload) const override;
 

@@ -58,12 +58,6 @@ StatusOr<Deployment> OueMechanism::Deploy(const WorkloadStats& workload) const {
                     Analyze(workload)};
 }
 
-std::vector<std::uint8_t> OueMechanism::SampleReport(int u, Rng& rng) const {
-  // Exactly the deployed client (same per-coordinate Bernoulli draws, same
-  // RNG consumption), so simulation and deployment cannot drift apart.
-  return BitVectorReporter(n_, 0.5, q_).Respond(u, rng).bits;
-}
-
 Vector OueMechanism::SimulateEstimate(const Vector& x, Rng& rng) const {
   WFM_CHECK_EQ(static_cast<int>(x.size()), n_);
   const double num_users = Sum(x);

@@ -52,9 +52,6 @@ class OueMechanism final : public Mechanism {
   /// true value is 0 (the dominant term): q(1-q)/(p-q)².
   double PerCoordinateUnitVariance() const;
 
-  /// Samples one randomized n-bit report for a user of type u.
-  std::vector<std::uint8_t> SampleReport(int u, Rng& rng) const;
-
   /// Simulates the protocol on a histogram and returns the unbiased
   /// data-vector estimate.
   Vector SimulateEstimate(const Vector& x, Rng& rng) const;

@@ -48,13 +48,6 @@ StatusOr<Deployment> RapporMechanism::Deploy(const WorkloadStats& workload) cons
                     Analyze(workload)};
 }
 
-std::vector<std::uint8_t> RapporMechanism::SampleReport(int u, Rng& rng) const {
-  // Exactly the deployed client (bit i is 1 with probability 1-f when i == u
-  // and f otherwise, one Bernoulli per coordinate), so simulation and
-  // deployment cannot drift apart.
-  return BitVectorReporter(n_, 1.0 - f_, f_).Respond(u, rng).bits;
-}
-
 Vector RapporMechanism::SimulateEstimate(const Vector& x, Rng& rng) const {
   WFM_CHECK_EQ(static_cast<int>(x.size()), n_);
   const double num_users = Sum(x);

@@ -49,9 +49,6 @@ class RapporMechanism final : public Mechanism {
   /// f(1-f)/(1-2f)².
   double PerCoordinateUnitVariance() const;
 
-  /// Samples one randomized n-bit report for a user of type u.
-  std::vector<std::uint8_t> SampleReport(int u, Rng& rng) const;
-
   /// Simulates the full protocol on a histogram x and returns the unbiased
   /// estimate of the data vector.
   Vector SimulateEstimate(const Vector& x, Rng& rng) const;

@@ -647,6 +647,15 @@ WireResponse CollectionServer::HandleIngest(
     if (count == 0) {
       return ErrorResponse(Status::InvalidArgument("batch frame is empty"));
     }
+    // The count is untrusted: every entry takes at least a 4-byte length and
+    // one envelope, so a count the body cannot hold is rejected before it
+    // sizes an allocation.
+    if (count > (body.size() - 4) / (4 + kWireEnvelopeBytes)) {
+      return ErrorResponse(Status::InvalidArgument(
+          "batch count " + std::to_string(count) +
+          " exceeds what a " + std::to_string(body.size()) +
+          "-byte body can hold"));
+    }
     reports.reserve(count);
     std::size_t offset = 4;
     for (std::uint32_t i = 0; i < count; ++i) {

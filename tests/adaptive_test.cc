@@ -15,7 +15,7 @@
 #include "api/plan.h"
 #include "core/factorization.h"
 #include "estimation/estimator.h"
-#include "ldp/local_randomizer.h"
+#include "ldp/reporter.h"
 #include "linalg/rng.h"
 #include "mechanisms/randomized_response.h"
 #include "obs/metrics.h"
@@ -25,16 +25,16 @@ namespace wfm {
 namespace {
 
 // One simulated epoch: `count` users drawn from `distribution` (cumulative
-// inverse sampling), each privatized through the real LocalRandomizer, the
+// inverse sampling), each privatized through the real StrategyReporter, the
 // responses aggregated into a histogram — exactly what a CollectionSession
 // seals, minus the server.
-EpochSnapshot SimulateEpoch(const LocalRandomizer& randomizer,
+EpochSnapshot SimulateEpoch(const StrategyReporter& reporter,
                             const Vector& distribution, int count, Rng& rng,
                             int epoch_id) {
   EpochSnapshot epoch;
   epoch.epoch_id = epoch_id;
   epoch.count = count;
-  epoch.histogram.assign(randomizer.num_outputs(), 0.0);
+  epoch.histogram.assign(reporter.num_outputs(), 0.0);
   const int n = static_cast<int>(distribution.size());
   for (int i = 0; i < count; ++i) {
     const double u = rng.Uniform(0.0, 1.0);
@@ -47,7 +47,7 @@ EpochSnapshot SimulateEpoch(const LocalRandomizer& randomizer,
         break;
       }
     }
-    epoch.histogram[randomizer.Respond(type, rng)] += 1.0;
+    epoch.histogram[reporter.RespondIndex(type, rng)] += 1.0;
   }
   return epoch;
 }
@@ -72,13 +72,13 @@ class DriftDetectorTest : public ::testing::Test {
         workload_(std::make_shared<const PrefixWorkload>(kN)),
         analysis_(q_, WorkloadStats::From(*workload_)),
         decoder_(ReportDecoder::FromAnalysis(analysis_)),
-        randomizer_(q_) {}
+        reporter_(q_) {}
 
   Matrix q_;
   std::shared_ptr<const PrefixWorkload> workload_;
   FactorizationAnalysis analysis_;
   ReportDecoder decoder_;
-  LocalRandomizer randomizer_;
+  StrategyReporter reporter_;
 };
 
 // The statistical conformance suite: many epoch pairs drawn from the same
@@ -95,8 +95,8 @@ TEST_F(DriftDetectorTest, FalsePositiveRateUnderDriftlessStreamIsZero) {
   int above_three_sigma = 0;
   for (int trial = 0; trial < kTrials; ++trial) {
     const EpochSnapshot a =
-        SimulateEpoch(randomizer_, distribution, kReports, rng, 2 * trial);
-    const EpochSnapshot b = SimulateEpoch(randomizer_, distribution, kReports,
+        SimulateEpoch(reporter_, distribution, kReports, rng, 2 * trial);
+    const EpochSnapshot b = SimulateEpoch(reporter_, distribution, kReports,
                                           rng, 2 * trial + 1);
     const StatusOr<DriftScore> score = detector.Score(decoder_, a, b);
     ASSERT_TRUE(score.ok()) << score.status().message();
@@ -115,9 +115,9 @@ TEST_F(DriftDetectorTest, FlagsAGenuineShiftManySigmasOut) {
   const DriftDetector detector;
   Rng rng(99);
   const EpochSnapshot before =
-      SimulateEpoch(randomizer_, UniformDistribution(kN), 40000, rng, 0);
+      SimulateEpoch(reporter_, UniformDistribution(kN), 40000, rng, 0);
   const EpochSnapshot after = SimulateEpoch(
-      randomizer_, ShiftedDistribution(kN, 0.3), 40000, rng, 1);
+      reporter_, ShiftedDistribution(kN, 0.3), 40000, rng, 1);
   const StatusOr<DriftScore> score = detector.Score(decoder_, before, after);
   ASSERT_TRUE(score.ok());
   EXPECT_TRUE(score.value().drifted);
@@ -133,9 +133,9 @@ TEST_F(DriftDetectorTest, MinReportsGateSuppressesTinyEpochs) {
   // 200 reports of a blatant shift: whatever the score says, tiny epochs
   // must not trigger a roll.
   const EpochSnapshot before =
-      SimulateEpoch(randomizer_, UniformDistribution(kN), 200, rng, 0);
+      SimulateEpoch(reporter_, UniformDistribution(kN), 200, rng, 0);
   const EpochSnapshot after =
-      SimulateEpoch(randomizer_, ShiftedDistribution(kN, 0.5), 200, rng, 1);
+      SimulateEpoch(reporter_, ShiftedDistribution(kN, 0.5), 200, rng, 1);
   const StatusOr<DriftScore> score = detector.Score(decoder_, before, after);
   ASSERT_TRUE(score.ok());
   EXPECT_FALSE(score.value().drifted);
@@ -145,7 +145,7 @@ TEST_F(DriftDetectorTest, RejectsEmptyEpochsAndWrongDimensions) {
   const DriftDetector detector;
   Rng rng(7);
   const EpochSnapshot good =
-      SimulateEpoch(randomizer_, UniformDistribution(kN), 100, rng, 0);
+      SimulateEpoch(reporter_, UniformDistribution(kN), 100, rng, 0);
   EpochSnapshot empty = good;
   empty.count = 0;
   EXPECT_EQ(detector.Score(decoder_, good, empty).status().code(),
@@ -194,7 +194,7 @@ StatusOr<Plan> MakeFixedStrategyPlan() {
       .Build();
 }
 
-void IngestEpoch(PlanSession& session, const LocalRandomizer& randomizer,
+void IngestEpoch(PlanSession& session, const StrategyReporter& reporter,
                  const Vector& distribution, int count, Rng& rng) {
   const int n = static_cast<int>(distribution.size());
   for (int i = 0; i < count; ++i) {
@@ -209,7 +209,7 @@ void IngestEpoch(PlanSession& session, const LocalRandomizer& randomizer,
       }
     }
     Report report;
-    report.index = randomizer.Respond(type, rng);
+    report.index = reporter.RespondIndex(type, rng);
     ASSERT_TRUE(session.Accept(0, report).ok());
   }
 }
@@ -220,10 +220,10 @@ TEST(RolloverTest, WindowDecodeBitIdenticalToSingleDecodeWithoutRoll) {
   StatusOr<Plan> plan = MakeFixedStrategyPlan();
   ASSERT_TRUE(plan.ok());
   std::unique_ptr<PlanSession> session = plan.value().StartSession(2);
-  const LocalRandomizer randomizer(*plan.value().DeployedStrategy());
+  const StrategyReporter reporter(*plan.value().DeployedStrategy());
   Rng rng(42);
   for (int epoch = 0; epoch < 3; ++epoch) {
-    IngestEpoch(*session, randomizer, UniformDistribution(kRollN), 3000, rng);
+    IngestEpoch(*session, reporter, UniformDistribution(kRollN), 3000, rng);
     session->Seal();
   }
   const StatusOr<WorkloadEstimate> windowed =
@@ -256,13 +256,13 @@ TEST(RolloverTest, EachEpochDecodesUnderItsOwnStrategy) {
   // a decode under the wrong version would be visibly biased.
   const Matrix q2 =
       RandomizedResponseMechanism::BuildStrategy(kRollN, kRollEps / 2);
-  const LocalRandomizer randomize_v0(q1);
-  const LocalRandomizer randomize_v1(q2);
+  const StrategyReporter reporter_v0(q1);
+  const StrategyReporter reporter_v1(q2);
   Rng rng(7);
   const Vector distribution = UniformDistribution(kRollN);
 
   // Epoch 0 under v0.
-  IngestEpoch(*session, randomize_v0, distribution, 4000, rng);
+  IngestEpoch(*session, reporter_v0, distribution, 4000, rng);
   EpochSnapshot epoch0 = session->Seal();
   EXPECT_EQ(epoch0.strategy_version, 0);
 
@@ -272,13 +272,13 @@ TEST(RolloverTest, EachEpochDecodesUnderItsOwnStrategy) {
   ASSERT_TRUE(staged.ok()) << staged.status().message();
   EXPECT_EQ(staged.value(), 1);
   EXPECT_EQ(session->session().strategy_version(), 0);
-  IngestEpoch(*session, randomize_v0, distribution, 4000, rng);
+  IngestEpoch(*session, reporter_v0, distribution, 4000, rng);
   EpochSnapshot epoch1 = session->Seal();
   EXPECT_EQ(epoch1.strategy_version, 0);
   EXPECT_EQ(session->session().strategy_version(), 1);
 
   // Epoch 2's reports are encoded under the rolled strategy.
-  IngestEpoch(*session, randomize_v1, distribution, 4000, rng);
+  IngestEpoch(*session, reporter_v1, distribution, 4000, rng);
   EpochSnapshot epoch2 = session->Seal();
   EXPECT_EQ(epoch2.strategy_version, 1);
 
@@ -365,19 +365,19 @@ TEST(AdaptiveControllerTest, RollsOnDriftAndOnlyOnDrift) {
   config.optimizer.seed = 11;
   AdaptiveController controller(session.get(), &planner, config);
 
-  const LocalRandomizer randomizer(*plan.value().DeployedStrategy());
+  const StrategyReporter reporter(*plan.value().DeployedStrategy());
   Rng rng(3);
   const int kReports = 20000;
 
   // Two epochs of the same population: reference, then a driftless score.
-  IngestEpoch(*session, randomizer, UniformDistribution(kRollN), kReports,
+  IngestEpoch(*session, reporter, UniformDistribution(kRollN), kReports,
               rng);
   session->Seal();
   StatusOr<EpochDecision> d0 = controller.OnEpochSealed();
   ASSERT_TRUE(d0.ok());
   EXPECT_FALSE(d0.value().scored);  // Became the reference.
 
-  IngestEpoch(*session, randomizer, UniformDistribution(kRollN), kReports,
+  IngestEpoch(*session, reporter, UniformDistribution(kRollN), kReports,
               rng);
   session->Seal();
   StatusOr<EpochDecision> d1 = controller.OnEpochSealed();
@@ -387,7 +387,7 @@ TEST(AdaptiveControllerTest, RollsOnDriftAndOnlyOnDrift) {
   EXPECT_FALSE(d1.value().reoptimized);
 
   // The incident: a third of the population collapses onto type 0.
-  IngestEpoch(*session, randomizer, ShiftedDistribution(kRollN, 0.35),
+  IngestEpoch(*session, reporter, ShiftedDistribution(kRollN, 0.35),
               kReports, rng);
   session->Seal();
   StatusOr<EpochDecision> d2 = controller.OnEpochSealed();
@@ -403,7 +403,7 @@ TEST(AdaptiveControllerTest, RollsOnDriftAndOnlyOnDrift) {
   EXPECT_EQ(planner.rounds_spent(), 2);
 
   // Budget is now exhausted: further drift is reported but not acted on.
-  IngestEpoch(*session, randomizer, UniformDistribution(kRollN), kReports,
+  IngestEpoch(*session, reporter, UniformDistribution(kRollN), kReports,
               rng);
   session->Seal();  // Activates the staged roll; this epoch is the last v0.
   StatusOr<EpochDecision> d3 = controller.OnEpochSealed();

@@ -1,12 +1,13 @@
-// Tests for the collect/ subsystem: serial/sharded aggregation equivalence,
-// deterministic merges under multi-threaded ingestion, exact epoch cuts while
-// ingestion keeps running, window sums, and estimate-cache invalidation.
+// Tests for the collect/ subsystem: exact sharded aggregation, deterministic
+// merges under multi-threaded ingestion, exact epoch cuts while ingestion
+// keeps running, window sums, and estimate-cache invalidation.
 //
 // The core invariant pinned down here: for the same report stream,
-// ShardedAggregator::Merge() is bit-identical to serial ResponseAggregator
-// aggregation — counts are integers, so no shard assignment, batch split, or
-// thread interleaving can change the merged histogram. Threaded tests run
-// with >= 4 ingest threads and are exercised under TSan in CI.
+// ShardedAggregator::Merge() is bit-identical to the stream's response
+// histogram counted in the test — counts are integers, so no shard
+// assignment, batch split, or thread interleaving can change the merged
+// histogram. Threaded tests run with >= 4 ingest threads and are exercised
+// under TSan in CI.
 
 #include <algorithm>
 #include <atomic>
@@ -24,7 +25,7 @@
 #include "collect/estimate_server.h"
 #include "collect/sharded_aggregator.h"
 #include "estimation/estimator.h"
-#include "ldp/protocol.h"
+#include "ldp/reporter.h"
 #include "linalg/rng.h"
 #include "mechanisms/randomized_response.h"
 #include "workload/histogram.h"
@@ -43,10 +44,17 @@ std::vector<int> MakeReports(int m, int count, std::uint64_t seed) {
   return reports;
 }
 
+// The exact response histogram y_o = #{reports == o}, counted serially.
 Vector SerialHistogram(int m, const std::vector<int>& reports) {
-  ResponseAggregator serial(m);
-  serial.AddBatch(reports);
-  return serial.histogram();
+  std::vector<std::int64_t> counts(m, 0);
+  for (const int r : reports) ++counts[r];
+  return Vector(counts.begin(), counts.end());
+}
+
+Report IndexReport(int index) {
+  Report r;
+  r.index = index;
+  return r;
 }
 
 Report DenseReport(Vector v) {
@@ -64,9 +72,11 @@ Report BitsReport(std::vector<std::uint8_t> bits) {
 std::unique_ptr<CollectionSession> MakeSession(int n, int num_shards) {
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 1.0);
   auto workload = std::make_shared<const HistogramWorkload>(n);
-  FactorizationAnalysis analysis(q, WorkloadStats::From(*workload));
-  return std::make_unique<CollectionSession>(std::move(analysis),
-                                             std::move(workload), num_shards);
+  auto decoder = std::make_shared<const ReportDecoder>(
+      ReportDecoder::FromAnalysis(
+          FactorizationAnalysis(q, WorkloadStats::From(*workload))));
+  return std::make_unique<CollectionSession>(
+      std::move(decoder), std::move(workload), num_shards);
 }
 
 // Death tests first (gtest runs *DeathTest suites before the rest, while no
@@ -75,6 +85,21 @@ TEST(CollectDeathTest, RejectsOutOfRangeResponses) {
   ShardedAggregator agg(/*num_outputs=*/3, /*num_shards=*/2);
   EXPECT_DEATH(agg.Add(0, 3), "response out of range");
   EXPECT_DEATH(agg.Add(1, -1), "response out of range");
+  const std::vector<int> batch{0, 1, 3};
+  EXPECT_DEATH(agg.AddBatch(0, batch), "response out of range");
+  const std::vector<int> negative{2, -1};
+  EXPECT_DEATH(agg.AddBatch(1, negative), "response out of range");
+}
+
+TEST(CollectDeathTest, RejectsRaggedBitVectorBatches) {
+  // A bit-vector batch holding one report of the wrong width aborts: this
+  // layer ingests pre-validated streams (PlanSession rejects it first).
+  const int m = 16;
+  ShardedAggregator bad(m, /*num_shards=*/1, ReportKind::kBitVector);
+  const std::vector<Report> ragged{
+      BitsReport(std::vector<std::uint8_t>(m, 0)),
+      BitsReport(std::vector<std::uint8_t>(m + 1, 0))};
+  EXPECT_DEATH(bad.AcceptBatch(0, ragged), "WFM_CHECK");
 }
 
 TEST(CollectDeathTest, RejectsBadShardIds) {
@@ -286,7 +311,7 @@ TEST(CollectionSessionTest, WindowTotalSumsTheLastKEpochs) {
 
   // Epoch e ingests exactly e+1 reports of type e (m = n for RR).
   for (int e = 0; e < 3; ++e) {
-    for (int j = 0; j <= e; ++j) session->Accept(j % 2, e);
+    for (int j = 0; j <= e; ++j) session->Accept(j % 2, IndexReport(e));
     const EpochSnapshot sealed = session->Seal();
     EXPECT_EQ(sealed.epoch_id, e);
     EXPECT_EQ(sealed.count, e + 1);
@@ -335,8 +360,10 @@ TEST(EstimateServerTest, ServesTheSameAnswersAsTheOfflinePipeline) {
   const int n = 8;
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 1.0);
   auto workload = std::make_shared<const PrefixWorkload>(n);
-  FactorizationAnalysis analysis(q, WorkloadStats::From(*workload));
-  CollectionSession session(analysis, workload, /*num_shards=*/2);
+  auto decoder = std::make_shared<const ReportDecoder>(
+      ReportDecoder::FromAnalysis(
+          FactorizationAnalysis(q, WorkloadStats::From(*workload))));
+  CollectionSession session(decoder, workload, /*num_shards=*/2);
 
   const std::vector<int> reports = MakeReports(n, 20000, /*seed=*/77);
   session.Accept(0, std::span<const int>(reports.data(), reports.size()));
@@ -347,7 +374,8 @@ TEST(EstimateServerTest, ServesTheSameAnswersAsTheOfflinePipeline) {
        {EstimatorKind::kUnbiased, EstimatorKind::kWnnls}) {
     const WorkloadEstimate served = server.Serve(kind).value();
     const WorkloadEstimate direct = EstimateWorkloadAnswers(
-        analysis, *workload, session.LatestSnapshot()->histogram, kind);
+        *decoder, *workload, session.LatestSnapshot()->histogram,
+        session.LatestSnapshot()->count, kind);
     EXPECT_EQ(served.data_vector, direct.data_vector);
     EXPECT_EQ(served.query_answers, direct.query_answers);
   }
@@ -384,7 +412,8 @@ TEST(EstimateServerTest, CachesPerEpochAndInvalidatesOnSeal) {
   // The fresh epoch's estimate reflects only the new epoch's reports.
   const WorkloadEstimate direct = EstimateWorkloadAnswers(
       session->decoder(), session->workload(),
-      session->LatestSnapshot()->histogram, EstimatorKind::kUnbiased);
+      session->LatestSnapshot()->histogram, session->LatestSnapshot()->count,
+      EstimatorKind::kUnbiased);
   EXPECT_EQ(c.query_answers, direct.query_answers);
 }
 
@@ -455,7 +484,8 @@ TEST(CollectionSessionTest, BitVectorEpochCountAccountingUnderConcurrentSeals) {
 
   auto workload = std::make_shared<const HistogramWorkload>(n);
   CollectionSession session(
-      ReportDecoder(AffineDebias{0.75, 0.25}, WorkloadStats::From(*workload)),
+      std::make_shared<const ReportDecoder>(AffineDebias{0.75, 0.25},
+                                            WorkloadStats::From(*workload)),
       workload, kIngestThreads, ReportKind::kBitVector);
   ASSERT_EQ(session.report_kind(), ReportKind::kBitVector);
 
@@ -520,7 +550,8 @@ TEST(EstimateServerTest, AffineDecodeUsesPerEpochReportCounts) {
   const double p = 0.75, q = 0.25;
   auto workload = std::make_shared<const HistogramWorkload>(n);
   CollectionSession session(
-      ReportDecoder(AffineDebias{p, q}, WorkloadStats::From(*workload)),
+      std::make_shared<const ReportDecoder>(AffineDebias{p, q},
+                                            WorkloadStats::From(*workload)),
       workload, /*num_shards=*/1, ReportKind::kBitVector);
   EstimateServer server(&session);
 
@@ -555,25 +586,27 @@ TEST(EstimateServerTest, AffineDecodeUsesPerEpochReportCounts) {
 }
 
 TEST(ResponseParityTest, ShardedSessionMatchesSerialReferenceEndToEnd) {
-  // Full-stack equivalence: randomize real users, feed the identical report
-  // stream through the serial reference aggregator and a concurrent session,
-  // and require identical histograms (hence identical estimates).
+  // Full-stack exactness: randomize real users, feed the report stream
+  // through a concurrent session, and require the sealed histogram to be
+  // the stream's exact serial count (hence identical estimates).
   const int n = 5;
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 1.0);
   auto workload = std::make_shared<const HistogramWorkload>(n);
-  FactorizationAnalysis analysis(q, WorkloadStats::From(*workload));
-  const LocalRandomizer randomizer(q);
+  auto decoder = std::make_shared<const ReportDecoder>(
+      ReportDecoder::FromAnalysis(
+          FactorizationAnalysis(q, WorkloadStats::From(*workload))));
+  const StrategyReporter reporter(q);
 
   Rng rng(2026);
   const Vector truth{400, 100, 250, 50, 200};
   std::vector<int> reports;
   for (int u = 0; u < n; ++u) {
     for (int j = 0; j < static_cast<int>(truth[u]); ++j) {
-      reports.push_back(randomizer.Respond(u, rng));
+      reports.push_back(reporter.RespondIndex(u, rng));
     }
   }
 
-  CollectionSession session(analysis, workload, kIngestThreads);
+  CollectionSession session(decoder, workload, kIngestThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kIngestThreads; ++t) {
     threads.emplace_back([&, t] {
@@ -645,33 +678,6 @@ TEST(UnifiedIngestTest, AcceptBatchMatchesPerReportAcceptForEveryKind) {
   }
 }
 
-TEST(UnifiedIngestTest, AddBitsBatchMatchesPerReportAddBits) {
-  // The batched bit-vector hot path (k concatenated m-bit reports, scratch
-  // counts, one atomic per touched counter) must be report-for-report
-  // equivalent to per-report Accept.
-  const int m = 16;
-  const int k = 1000;
-  Rng rng(82);
-  std::vector<std::uint8_t> concatenated(static_cast<std::size_t>(k) * m);
-  for (std::uint8_t& bit : concatenated) {
-    bit = static_cast<std::uint8_t>(rng.UniformInt(2));
-  }
-
-  ShardedAggregator serial(m, /*num_shards=*/1, ReportKind::kBitVector);
-  for (int i = 0; i < k; ++i) {
-    serial.Accept(0, BitsReport({concatenated.data() + i * m,
-                                 concatenated.data() + (i + 1) * m}));
-  }
-  ShardedAggregator batched(m, /*num_shards=*/1, ReportKind::kBitVector);
-  batched.AddBitsBatch(0, concatenated);
-  EXPECT_EQ(batched.Merge(), serial.Merge());
-  EXPECT_EQ(batched.num_responses(), k);
-
-  ShardedAggregator bad(m, /*num_shards=*/1, ReportKind::kBitVector);
-  const std::vector<std::uint8_t> ragged(m + 1, 0);
-  EXPECT_DEATH(bad.AddBitsBatch(0, ragged), "multiple");
-}
-
 TEST(UnifiedIngestTest, ConcurrentAcceptBatchConservesEveryReport) {
   // kIngestThreads writers push batched bit-vector reports through the
   // session's unified surface while Seal() races them (TSan-checked in CI);
@@ -680,23 +686,26 @@ TEST(UnifiedIngestTest, ConcurrentAcceptBatchConservesEveryReport) {
   const int per_thread = 400;
   auto workload = std::make_shared<const HistogramWorkload>(n);
   CollectionSession session(
-      ReportDecoder(AffineDebias{0.75, 0.25}, WorkloadStats::From(*workload)),
+      std::make_shared<const ReportDecoder>(AffineDebias{0.75, 0.25},
+                                            WorkloadStats::From(*workload)),
       workload, kIngestThreads, ReportKind::kBitVector);
 
-  std::vector<std::vector<std::uint8_t>> streams(kIngestThreads);
+  std::vector<std::vector<Report>> streams(kIngestThreads);
   Vector expected(n, 0.0);
   for (int t = 0; t < kIngestThreads; ++t) {
     Rng rng(900 + t);
-    streams[t].resize(static_cast<std::size_t>(per_thread) * n);
-    for (std::size_t i = 0; i < streams[t].size(); ++i) {
-      streams[t][i] = static_cast<std::uint8_t>(rng.UniformInt(2));
-      expected[i % n] += streams[t][i];
+    streams[t].resize(per_thread);
+    for (Report& report : streams[t]) {
+      report.bits.resize(n);
+      for (int o = 0; o < n; ++o) {
+        report.bits[o] = static_cast<std::uint8_t>(rng.UniformInt(2));
+        expected[o] += report.bits[o];
+      }
     }
   }
   std::vector<std::thread> threads;
   for (int t = 0; t < kIngestThreads; ++t) {
-    threads.emplace_back(
-        [&, t] { session.AcceptBitsBatch(t, streams[t]); });
+    threads.emplace_back([&, t] { session.AcceptBatch(t, streams[t]); });
   }
   session.Seal();  // Race one cut against the in-flight batches.
   for (std::thread& t : threads) t.join();
@@ -715,7 +724,7 @@ TEST(SnapshotRestoreTest, TrySnapshotIsNotFoundUntilSealed) {
   const auto missing = session->TrySnapshot(0);
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
-  session->Accept(0, 1);
+  session->Accept(0, IndexReport(1));
   session->Seal();
   const auto found = session->TrySnapshot(0);
   ASSERT_TRUE(found.ok());
@@ -730,7 +739,7 @@ TEST(SnapshotRestoreTest, RestoredEpochsCountLikeLocallySealedOnes) {
   const EpochSnapshot sealed = source->Seal();
 
   auto target = MakeSession(/*n=*/4, /*num_shards=*/1);
-  target->Accept(0, 3);
+  target->Accept(0, IndexReport(3));
   target->Seal();
   const StatusOr<int> restored = target->RestoreSealedEpoch(sealed);
   ASSERT_TRUE(restored.ok());

@@ -34,6 +34,7 @@ TEST(IntegrationTest, OptimizeSimulateEstimatePrefix) {
 
   const OptimizedMechanism mech(stats, eps, TestConfig());
   const FactorizationAnalysis fa = mech.AnalyzeFactorization(stats);
+  const ReportDecoder decoder = ReportDecoder::FromAnalysis(fa);
 
   const Dataset data = MakeSyntheticDataset("HEPTH", n, 20000);
   const Vector truth = workload->Apply(data.histogram);
@@ -45,7 +46,8 @@ TEST(IntegrationTest, OptimizeSimulateEstimatePrefix) {
   for (int t = 0; t < trials; ++t) {
     const Vector y = SimulateResponseHistogram(mech.strategy(), data.histogram, rng);
     const WorkloadEstimate est =
-        EstimateWorkloadAnswers(fa, *workload, y, EstimatorKind::kUnbiased);
+        EstimateWorkloadAnswers(decoder, *workload, y, std::llround(Sum(y)),
+                                EstimatorKind::kUnbiased);
     for (std::size_t i = 0; i < truth.size(); ++i) {
       total_sq += std::pow(est.query_answers[i] - truth[i], 2);
     }
@@ -138,7 +140,8 @@ TEST(IntegrationTest, WnnlsNeverIncreasesErrorMuchAndHelpsWhenSparse) {
   const auto workload = CreateWorkload("Prefix", n);
   const WorkloadStats stats = WorkloadStats::From(*workload);
   const OptimizedMechanism mech(stats, eps, TestConfig());
-  const FactorizationAnalysis fa = mech.AnalyzeFactorization(stats);
+  const ReportDecoder decoder =
+      ReportDecoder::FromAnalysis(mech.AnalyzeFactorization(stats));
 
   // Sparse low-N data: the regime where consistency helps (Figure 4).
   const Dataset data = SampleUsers(MakeSyntheticDataset("HEPTH", n, 100000), 500, 9);
@@ -150,9 +153,11 @@ TEST(IntegrationTest, WnnlsNeverIncreasesErrorMuchAndHelpsWhenSparse) {
   for (int t = 0; t < trials; ++t) {
     const Vector y = SimulateResponseHistogram(mech.strategy(), data.histogram, rng);
     const auto unbiased =
-        EstimateWorkloadAnswers(fa, *workload, y, EstimatorKind::kUnbiased);
+        EstimateWorkloadAnswers(decoder, *workload, y, std::llround(Sum(y)),
+                                EstimatorKind::kUnbiased);
     const auto consistent =
-        EstimateWorkloadAnswers(fa, *workload, y, EstimatorKind::kWnnls);
+        EstimateWorkloadAnswers(decoder, *workload, y, std::llround(Sum(y)),
+                                EstimatorKind::kWnnls);
     for (std::size_t i = 0; i < truth.size(); ++i) {
       err_unbiased += std::pow(unbiased.query_answers[i] - truth[i], 2);
       err_wnnls += std::pow(consistent.query_answers[i] - truth[i], 2);

@@ -455,15 +455,19 @@ TEST(StructuredPlanTest, MillionDomainDeploysAndDecodes) {
   // at smaller structured sizes elsewhere.
   PlanClient client = plan.value().Client();
   EXPECT_EQ(client.num_types(), 1000000);
-  PlanServer server = plan.value().Server();
+  std::unique_ptr<PlanSession> session = plan.value().StartSession(1);
   Rng rng(123);
   const std::vector<int> types{0, 999999, 123456, 500000};
   for (int r = 0; r < 400; ++r) {
     const Status accepted =
-        server.Accept(client.Respond(types[r % types.size()], rng));
+        session->Accept(0, client.Respond(types[r % types.size()], rng));
     ASSERT_TRUE(accepted.ok()) << accepted.ToString();
   }
-  const WorkloadEstimate estimate = server.Estimate(EstimatorKind::kUnbiased);
+  session->Seal();
+  const StatusOr<WorkloadEstimate> served =
+      session->Estimate(EstimatorKind::kUnbiased);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  const WorkloadEstimate& estimate = served.value();
   EXPECT_EQ(estimate.data_vector.size(), 1000000u);
   EXPECT_EQ(estimate.query_answers.size(),
             static_cast<std::size_t>(workload->num_queries()));
@@ -541,7 +545,7 @@ TEST(StructuredPlanTest, SmallStructuredDomainDecodesWithWnnls) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
 
   PlanClient client = plan.value().Client();
-  PlanServer server = plan.value().Server();
+  std::unique_ptr<PlanSession> session = plan.value().StartSession(1);
   Rng rng(321);
   const int num_users = 40000;
   for (int r = 0; r < num_users; ++r) {
@@ -549,9 +553,13 @@ TEST(StructuredPlanTest, SmallStructuredDomainDecodesWithWnnls) {
     const int type = rng.Bernoulli(0.7)
                          ? 100
                          : rng.UniformInt(workload->domain_size());
-    ASSERT_TRUE(server.Accept(client.Respond(type, rng)).ok());
+    ASSERT_TRUE(session->Accept(0, client.Respond(type, rng)).ok());
   }
-  const WorkloadEstimate estimate = server.Estimate(EstimatorKind::kWnnls);
+  session->Seal();
+  const StatusOr<WorkloadEstimate> served =
+      session->Estimate(EstimatorKind::kWnnls);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  const WorkloadEstimate& estimate = served.value();
   ASSERT_EQ(estimate.data_vector.size(),
             static_cast<std::size_t>(workload->domain_size()));
   for (double v : estimate.data_vector) {

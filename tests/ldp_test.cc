@@ -1,5 +1,5 @@
-// Tests for the LDP runtime: local randomizers, aggregation, and the
-// statistical agreement between simulation and the analytic variance
+// Tests for the LDP runtime: the strategy reporter, the protocol simulation,
+// and the statistical agreement between simulation and the analytic variance
 // formulas (the key Monte-Carlo validation of Theorem 3.4).
 //
 // All randomness flows from fixed-seed Rngs (deterministic across runs);
@@ -8,15 +8,14 @@
 
 #include <cmath>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "api/plan.h"
 #include "core/factorization.h"
-#include "ldp/local_randomizer.h"
 #include "ldp/protocol.h"
+#include "ldp/reporter.h"
 #include "linalg/rng.h"
 #include "linalg/samplers.h"
 #include "mechanisms/randomized_response.h"
@@ -26,15 +25,15 @@
 namespace wfm {
 namespace {
 
-TEST(LocalRandomizerTest, RespondsAccordingToColumn) {
+TEST(StrategyReporterTest, RespondsAccordingToColumn) {
   Rng rng(131);
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(5, 1.0);
-  LocalRandomizer randomizer(q);
-  EXPECT_EQ(randomizer.num_outputs(), 5);
-  EXPECT_EQ(randomizer.num_types(), 5);
+  const StrategyReporter reporter(q);
+  EXPECT_EQ(reporter.num_outputs(), 5);
+  EXPECT_EQ(reporter.num_types(), 5);
   const int trials = 50000;
   std::vector<int> counts(5, 0);
-  for (int t = 0; t < trials; ++t) ++counts[randomizer.Respond(2, rng)];
+  for (int t = 0; t < trials; ++t) ++counts[reporter.Respond(2, rng).index];
   for (int o = 0; o < 5; ++o) {
     const double expect = q(o, 2) * trials;
     EXPECT_NEAR(counts[o], expect, 5.0 * std::sqrt(expect) + 1.0) << "output " << o;
@@ -74,45 +73,6 @@ TEST(StrategyReporterTest, RespondStreamMatchesTheReferenceDrawForAFixedSeed) {
   EXPECT_EQ(rng.NextUint64(), reference.NextUint64());
 }
 
-TEST(ResponseAggregatorTest, CountsResponses) {
-  ResponseAggregator agg(3);
-  agg.Add(0);
-  agg.Add(2);
-  agg.Add(2);
-  EXPECT_EQ(agg.histogram(), (Vector{1, 0, 2}));
-  EXPECT_EQ(agg.num_responses(), 3);
-}
-
-TEST(ResponseAggregatorDeathTest, RejectsOutOfRange) {
-  ResponseAggregator agg(3);
-  EXPECT_DEATH(agg.Add(3), "WFM_CHECK");
-  EXPECT_DEATH(agg.Add(-1), "WFM_CHECK");
-}
-
-TEST(ResponseAggregatorDeathTest, RejectsOutOfRangeWithinBatch) {
-  ResponseAggregator agg(3);
-  const std::vector<int> batch{0, 1, 3};
-  EXPECT_DEATH(agg.AddBatch(batch), "WFM_CHECK");
-  const std::vector<int> negative{2, -1};
-  EXPECT_DEATH(agg.AddBatch(negative), "WFM_CHECK");
-}
-
-TEST(ResponseAggregatorTest, AddBatchMatchesRepeatedAdd) {
-  Rng rng(138);
-  const int m = 7;
-  std::vector<int> responses(5000);
-  for (int& r : responses) r = rng.UniformInt(m);
-
-  ResponseAggregator one_by_one(m);
-  for (const int r : responses) one_by_one.Add(r);
-  ResponseAggregator batched(m);
-  batched.AddBatch(responses);
-  batched.AddBatch(std::span<const int>());  // Empty batch is a no-op.
-
-  EXPECT_EQ(batched.histogram(), one_by_one.histogram());
-  EXPECT_EQ(batched.num_responses(), one_by_one.num_responses());
-}
-
 TEST(ProtocolTest, HistogramPreservesUserCount) {
   Rng rng(132);
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(6, 1.0);
@@ -124,15 +84,22 @@ TEST(ProtocolTest, HistogramPreservesUserCount) {
 }
 
 TEST(ProtocolTest, FastAndPerUserPathsAgreeInDistribution) {
-  // Same mean and comparable spread across repetitions.
+  // The multinomial draw and one StrategyReporter draw per user have the
+  // same mean and comparable spread across repetitions.
   Rng rng(133);
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(4, 1.0);
+  const StrategyReporter reporter(q);
   const Vector x{50, 30, 10, 10};
   const int trials = 300;
   Vector mean_fast(4, 0.0), mean_slow(4, 0.0);
   for (int t = 0; t < trials; ++t) {
     const Vector yf = SimulateResponseHistogram(q, x, rng);
-    const Vector ys = SimulateResponseHistogramPerUser(q, x, rng);
+    Vector ys(q.rows(), 0.0);
+    for (int u = 0; u < q.cols(); ++u) {
+      for (int j = 0; j < static_cast<int>(x[u]); ++j) {
+        ys[reporter.RespondIndex(u, rng)] += 1.0;
+      }
+    }
     for (int o = 0; o < 4; ++o) {
       mean_fast[o] += yf[o] / trials;
       mean_slow[o] += ys[o] / trials;

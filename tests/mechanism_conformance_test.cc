@@ -149,15 +149,20 @@ TEST(MechanismConformanceTest, EmpiricalErrorMatchesAnalyzedVariance) {
     Vector trial0_answers;
     for (int trial = 0; trial < fx.trials; ++trial) {
       Rng rng(fx.seed * 7919 + static_cast<std::uint64_t>(trial));
-      PlanServer server = plan.Server();
+      // One shard ingests in arrival order: one serial round per trial.
+      std::unique_ptr<PlanSession> session = plan.StartSession(1);
       for (int u = 0; u < kDomain; ++u) {
         for (int j = 0; j < static_cast<int>(truth[u]); ++j) {
-          const Status accepted = server.Accept(client.Respond(u, rng));
+          const Status accepted = session->Accept(0, client.Respond(u, rng));
           ASSERT_TRUE(accepted.ok()) << accepted.ToString();
         }
       }
-      ASSERT_EQ(server.num_reports(), static_cast<std::int64_t>(fx.num_users));
-      const WorkloadEstimate est = server.Estimate(EstimatorKind::kUnbiased);
+      ASSERT_EQ(session->Seal().count,
+                static_cast<std::int64_t>(fx.num_users));
+      const StatusOr<WorkloadEstimate> served =
+          session->Estimate(EstimatorKind::kUnbiased);
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+      const WorkloadEstimate& est = served.value();
       double sq = 0.0;
       for (int i = 0; i < num_queries; ++i) {
         const double answer = est.query_answers[i];

@@ -58,11 +58,16 @@ TEST(OueTest, ReportBitMarginals) {
   Rng rng(221);
   const int n = 6;
   const OueMechanism oue(n, 1.0);
+  // Draws through the deployed client, the one sampler OUE reports come from.
+  const StatusOr<Deployment> deployment =
+      oue.Deploy(WorkloadStats::From(HistogramWorkload(n)));
+  ASSERT_TRUE(deployment.ok()) << deployment.status().ToString();
   const int trials = 20000;
   std::vector<int> ones(n, 0);
   for (int t = 0; t < trials; ++t) {
-    const auto bits = oue.SampleReport(3, rng);
-    for (int i = 0; i < n; ++i) ones[i] += bits[i];
+    const Report report = deployment.value().reporter->Respond(3, rng);
+    ASSERT_EQ(static_cast<int>(report.bits.size()), n);
+    for (int i = 0; i < n; ++i) ones[i] += report.bits[i];
   }
   const double q = oue.prob_one_given_zero();
   for (int i = 0; i < n; ++i) {

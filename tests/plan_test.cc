@@ -1,9 +1,9 @@
 // Tests for the api/ Plan front door.
 //
 // The two acceptance properties pinned down here:
-//   1. Parity — the Plan path (Build -> Client -> Server/StartSession ->
-//      Estimate) is *bit-identical* to the pre-redesign manual wiring
-//      (OptimizedMechanism + LocalRandomizer + ResponseAggregator +
+//   1. Parity — the Plan path (Build -> Client -> StartSession -> Estimate)
+//      is *bit-identical* to manual wiring (OptimizedMechanism +
+//      StrategyReporter + an in-test response count +
 //      EstimateWorkloadAnswers) for a pinned RNG seed. The fluent API is a
 //      repackaging, not a reimplementation.
 //   2. Universality — every mechanism in the global registry (six Section
@@ -25,8 +25,7 @@
 
 #include "api/plan.h"
 #include "estimation/estimator.h"
-#include "ldp/local_randomizer.h"
-#include "ldp/protocol.h"
+#include "ldp/reporter.h"
 #include "linalg/rng.h"
 #include "mechanisms/optimized.h"
 #include "mechanisms/randomized_response.h"
@@ -65,20 +64,21 @@ TEST(PlanParityTest, BitIdenticalToManualQuickstartWiring) {
   auto workload = std::make_shared<HistogramWorkload>(n);
   const Vector truth = SkewedTruth(n, num_users);
 
-  // --- Manual path: exactly the pre-redesign quickstart wiring. -----------
+  // --- Manual path: mechanism, reporter and decoder wired by hand. --------
   const WorkloadStats stats = WorkloadStats::From(*workload);
   const OptimizedMechanism mechanism(stats, eps, config);
-  const FactorizationAnalysis analysis = mechanism.AnalyzeFactorization(stats);
+  const ReportDecoder decoder =
+      ReportDecoder::FromAnalysis(mechanism.AnalyzeFactorization(stats));
   Rng manual_rng(2024);
-  const LocalRandomizer randomizer(mechanism.strategy());
-  ResponseAggregator aggregator(randomizer.num_outputs());
+  const StrategyReporter reporter(mechanism.strategy());
+  Vector histogram(reporter.num_outputs(), 0.0);
   for (int u = 0; u < n; ++u) {
     for (int j = 0; j < static_cast<int>(truth[u]); ++j) {
-      aggregator.Add(randomizer.Respond(u, manual_rng));
+      histogram[reporter.RespondIndex(u, manual_rng)] += 1.0;
     }
   }
   const WorkloadEstimate manual = EstimateWorkloadAnswers(
-      analysis, *workload, aggregator.histogram(), EstimatorKind::kWnnls);
+      decoder, *workload, histogram, num_users, EstimatorKind::kWnnls);
 
   // --- Plan path, same pinned seeds. --------------------------------------
   const StatusOr<Plan> built = Plan::For(workload)
@@ -91,28 +91,15 @@ TEST(PlanParityTest, BitIdenticalToManualQuickstartWiring) {
   EXPECT_EQ(plan.mechanism_name(), "Optimized");
 
   const PlanClient client = plan.Client();
-  PlanServer server = plan.Server();
-  Rng plan_rng(2024);
-  for (int u = 0; u < n; ++u) {
-    for (int j = 0; j < static_cast<int>(truth[u]); ++j) {
-      server.Accept(client.Respond(u, plan_rng));
-    }
-  }
-  EXPECT_EQ(server.aggregate(), aggregator.histogram());  // Bit-identical.
-  const WorkloadEstimate via_plan = server.Estimate(EstimatorKind::kWnnls);
-  EXPECT_EQ(via_plan.data_vector, manual.data_vector);
-  EXPECT_EQ(via_plan.query_answers, manual.query_answers);
-
-  // --- And through the concurrent session (single shard). -----------------
   std::unique_ptr<PlanSession> session = plan.StartSession(/*num_shards=*/1);
   Rng session_rng(2024);
   for (int u = 0; u < n; ++u) {
     for (int j = 0; j < static_cast<int>(truth[u]); ++j) {
-      session->Accept(0, client.Respond(u, session_rng));
+      ASSERT_TRUE(session->Accept(0, client.Respond(u, session_rng)).ok());
     }
   }
   const EpochSnapshot sealed = session->Seal();
-  EXPECT_EQ(sealed.histogram, aggregator.histogram());
+  EXPECT_EQ(sealed.histogram, histogram);  // Bit-identical.
   EXPECT_EQ(sealed.count, static_cast<std::int64_t>(num_users));
   const StatusOr<WorkloadEstimate> served =
       session->Estimate(EstimatorKind::kWnnls);
@@ -122,9 +109,11 @@ TEST(PlanParityTest, BitIdenticalToManualQuickstartWiring) {
 
   // The unbiased estimator kind agrees as well.
   const WorkloadEstimate manual_unbiased = EstimateWorkloadAnswers(
-      analysis, *workload, aggregator.histogram(), EstimatorKind::kUnbiased);
-  EXPECT_EQ(server.Estimate(EstimatorKind::kUnbiased).data_vector,
-            manual_unbiased.data_vector);
+      decoder, *workload, histogram, num_users, EstimatorKind::kUnbiased);
+  const StatusOr<WorkloadEstimate> served_unbiased =
+      session->Estimate(EstimatorKind::kUnbiased);
+  ASSERT_TRUE(served_unbiased.ok()) << served_unbiased.status().ToString();
+  EXPECT_EQ(served_unbiased.value().data_vector, manual_unbiased.data_vector);
 }
 
 TEST(PlanDeployTest, EveryRegistryMechanismRunsEndToEnd) {
@@ -191,10 +180,10 @@ TEST(PlanDeployTest, EveryRegistryMechanismRunsEndToEnd) {
   }
 }
 
-TEST(PlanDeployTest, DenseMatrixMechanismReportsFlowThroughBothServers) {
-  // The additive-noise path: dense reports through the serial PlanServer and
-  // the sharded session must agree with each other when fed the identical
-  // report stream.
+TEST(PlanDeployTest, DenseMatrixMechanismReportsFlowThroughTheSession) {
+  // The additive-noise path: dense reports ingested over two shards must sum
+  // to the coordinatewise total of the report stream (up to floating-point
+  // commutation) and decode through the plan's linear decoder.
   const int n = 8;
   auto workload = std::make_shared<HistogramWorkload>(n);
   const StatusOr<Plan> built = Plan::For(workload)
@@ -206,33 +195,36 @@ TEST(PlanDeployTest, DenseMatrixMechanismReportsFlowThroughBothServers) {
   const PlanClient client = plan.Client();
   EXPECT_TRUE(client.dense_reports());
 
-  PlanServer server = plan.Server();
   std::unique_ptr<PlanSession> session = plan.StartSession(/*num_shards=*/2);
+  Vector sum(client.num_outputs(), 0.0);
   Rng rng(55);
   for (int i = 0; i < 500; ++i) {
     const Report report = client.Respond(i % n, rng);
     ASSERT_TRUE(report.is_dense());
     ASSERT_EQ(static_cast<int>(report.dense.size()), client.num_outputs());
-    server.Accept(report);
-    session->Accept(i % 2, report);
+    for (int o = 0; o < client.num_outputs(); ++o) sum[o] += report.dense[o];
+    ASSERT_TRUE(session->Accept(i % 2, report).ok());
   }
-  session->Seal();
-  const WorkloadEstimate serial = server.Estimate(EstimatorKind::kUnbiased);
-  const StatusOr<WorkloadEstimate> sharded =
+  const EpochSnapshot sealed = session->Seal();
+  EXPECT_EQ(sealed.count, 500);
+  for (int o = 0; o < client.num_outputs(); ++o) {
+    EXPECT_NEAR(sealed.histogram[o], sum[o], 1e-9 * (1.0 + std::abs(sum[o])));
+  }
+  const WorkloadEstimate expected =
+      EstimateWorkloadAnswers(session->session().decoder(), *workload,
+                              sealed.histogram, sealed.count,
+                              EstimatorKind::kUnbiased);
+  const StatusOr<WorkloadEstimate> served =
       session->Estimate(EstimatorKind::kUnbiased);
-  ASSERT_TRUE(sharded.ok());
-  ASSERT_EQ(serial.data_vector.size(), sharded.value().data_vector.size());
-  for (std::size_t i = 0; i < serial.data_vector.size(); ++i) {
-    // Identical sums up to floating-point commutation across shards.
-    EXPECT_NEAR(serial.data_vector[i], sharded.value().data_vector[i], 1e-6);
-  }
+  ASSERT_TRUE(served.ok());
+  EXPECT_EQ(served.value().data_vector, expected.data_vector);
 }
 
-TEST(PlanDeployTest, BitVectorReportsFlowThroughBothServers) {
-  // The frequency-oracle path: RAPPOR's n-bit reports through the serial
-  // PlanServer and the sharded session must agree exactly (integer bit
-  // counts), and the unbiased decode must equal the hand-computed affine
-  // debias (y - N f)/(1 - 2f) of the same aggregate.
+TEST(PlanDeployTest, BitVectorReportsFlowThroughTheSession) {
+  // The frequency-oracle path: RAPPOR's n-bit reports ingested over two
+  // shards must land as the exact per-coordinate set-bit counts, and the
+  // unbiased decode must equal the hand-computed affine debias
+  // (y - N f)/(1 - 2f) of the same aggregate.
   const int n = 8;
   const double eps = 1.0;
   auto workload = std::make_shared<HistogramWorkload>(n);
@@ -245,41 +237,37 @@ TEST(PlanDeployTest, BitVectorReportsFlowThroughBothServers) {
   EXPECT_FALSE(client.dense_reports());
   EXPECT_EQ(client.num_outputs(), n);  // m == n for unary encodings.
 
-  PlanServer server = plan.Server();
   std::unique_ptr<PlanSession> session = plan.StartSession(/*num_shards=*/2);
+  Vector counts(n, 0.0);
   Rng rng(77);
   const int num_reports = 600;
   for (int i = 0; i < num_reports; ++i) {
     const Report report = client.Respond(i % n, rng);
     ASSERT_TRUE(report.is_bits());
     ASSERT_EQ(static_cast<int>(report.bits.size()), n);
-    ASSERT_TRUE(server.Accept(report).ok());
-    session->Accept(i % 2, report);
+    for (int o = 0; o < n; ++o) counts[o] += report.bits[o];
+    ASSERT_TRUE(session->Accept(i % 2, report).ok());
   }
-  EXPECT_EQ(server.num_reports(), num_reports);
   const EpochSnapshot sealed = session->Seal();
   EXPECT_EQ(sealed.count, num_reports);
-  EXPECT_EQ(sealed.histogram, server.aggregate());  // Integer counts: exact.
+  EXPECT_EQ(sealed.histogram, counts);  // Integer counts: exact.
 
   // The decode is the textbook affine debias against the report count.
   const double f = 1.0 / (1.0 + std::exp(eps / 2.0));
-  const WorkloadEstimate serial = server.Estimate(EstimatorKind::kUnbiased);
-  const StatusOr<WorkloadEstimate> sharded =
+  const StatusOr<WorkloadEstimate> served =
       session->Estimate(EstimatorKind::kUnbiased);
-  ASSERT_TRUE(sharded.ok());
-  EXPECT_EQ(serial.data_vector, sharded.value().data_vector);
+  ASSERT_TRUE(served.ok());
   for (int u = 0; u < n; ++u) {
-    const double expected =
-        (server.aggregate()[u] - num_reports * f) / (1.0 - 2.0 * f);
-    EXPECT_NEAR(serial.data_vector[u], expected, 1e-9);
+    const double expected = (counts[u] - num_reports * f) / (1.0 - 2.0 * f);
+    EXPECT_NEAR(served.value().data_vector[u], expected, 1e-9);
   }
 }
 
-TEST(PlanServerTest, MalformedReportsAreInvalidArgumentNotFatal) {
-  // Reports arrive from untrusted devices: a dense report whose dimension
-  // mismatches the deployed strategy (and any other corrupt shape) must
-  // surface as kInvalidArgument and leave the aggregate untouched — a
-  // regression test for the CHECK-abort this used to be.
+TEST(PlanSessionTest, MalformedReportsAreInvalidArgumentNotFatal) {
+  // Reports arrive from untrusted devices: a report whose dimension
+  // mismatches the deployment (and any other corrupt shape) must surface as
+  // kInvalidArgument and leave the aggregate untouched — a regression test
+  // for the CHECK-abort this used to be.
   const int n = 8;
   auto workload = std::make_shared<HistogramWorkload>(n);
 
@@ -289,84 +277,67 @@ TEST(PlanServerTest, MalformedReportsAreInvalidArgumentNotFatal) {
                                         .Mechanism("Matrix Mechanism (L1)")
                                         .Build();
   ASSERT_TRUE(dense_plan.ok()) << dense_plan.status().ToString();
-  PlanServer dense_server = dense_plan.value().Server();
+  const int dense_m = dense_plan.value().Client().num_outputs();
+  std::unique_ptr<PlanSession> dense = dense_plan.value().StartSession(1);
   Report wrong_dim;
-  wrong_dim.dense = Vector(dense_plan.value().Client().num_outputs() + 3, 1.0);
-  const Status rejected = dense_server.Accept(wrong_dim);
-  EXPECT_EQ(rejected.code(), StatusCode::kInvalidArgument);
+  wrong_dim.dense = Vector(dense_m + 3, 1.0);
+  EXPECT_EQ(dense->Accept(0, wrong_dim).code(), StatusCode::kInvalidArgument);
   // A non-finite entry would poison the aggregate (NaN forever after).
   Report poisoned;
-  poisoned.dense = Vector(dense_plan.value().Client().num_outputs(), 1.0);
+  poisoned.dense = Vector(dense_m, 1.0);
   poisoned.dense[2] = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_EQ(dense_server.Accept(poisoned).code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(dense->Accept(0, poisoned).code(), StatusCode::kInvalidArgument);
   poisoned.dense[2] = std::numeric_limits<double>::infinity();
-  EXPECT_EQ(dense_server.Accept(poisoned).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(dense_server.num_reports(), 0);
-  EXPECT_EQ(dense_server.aggregate(),
-            Vector(dense_plan.value().Client().num_outputs(), 0.0));
+  EXPECT_EQ(dense->Accept(0, poisoned).code(), StatusCode::kInvalidArgument);
 
   // Categorical deployment: out-of-range index.
   const StatusOr<Plan> cat_plan =
       Plan::For(workload).Epsilon(1.0).Mechanism("Randomized Response").Build();
   ASSERT_TRUE(cat_plan.ok());
-  PlanServer cat_server = cat_plan.value().Server();
+  std::unique_ptr<PlanSession> cat = cat_plan.value().StartSession(1);
   Report bad_index;
   bad_index.index = cat_plan.value().Client().num_outputs();
-  EXPECT_EQ(cat_server.Accept(bad_index).code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(cat->Accept(0, bad_index).code(), StatusCode::kInvalidArgument);
   bad_index.index = -1;
-  EXPECT_EQ(cat_server.Accept(bad_index).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(cat_server.num_reports(), 0);
+  EXPECT_EQ(cat->Accept(0, bad_index).code(), StatusCode::kInvalidArgument);
 
   // Bit-vector deployment: wrong width and non-binary entries.
   const StatusOr<Plan> bits_plan =
       Plan::For(workload).Epsilon(1.0).Mechanism("OUE").Build();
   ASSERT_TRUE(bits_plan.ok());
-  PlanServer bits_server = bits_plan.value().Server();
+  std::unique_ptr<PlanSession> bits = bits_plan.value().StartSession(1);
   Report short_bits;
   short_bits.bits.assign(n - 1, 0);
-  EXPECT_EQ(bits_server.Accept(short_bits).code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(bits->Accept(0, short_bits).code(), StatusCode::kInvalidArgument);
   Report corrupt_bits;
   corrupt_bits.bits.assign(n, 0);
   corrupt_bits.bits[3] = 2;
-  EXPECT_EQ(bits_server.Accept(corrupt_bits).code(),
+  EXPECT_EQ(bits->Accept(0, corrupt_bits).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(bits_server.num_reports(), 0);
-  EXPECT_EQ(bits_server.aggregate(), Vector(n, 0.0));
 
   // A report whose *shape* mismatches the deployment is equally
   // device-controlled: rejected, never forwarded to a kind-checking abort.
   Report dense_into_bits;
   dense_into_bits.dense = Vector(n, 1.0);
-  EXPECT_EQ(bits_server.Accept(dense_into_bits).code(),
+  EXPECT_EQ(bits->Accept(0, dense_into_bits).code(),
             StatusCode::kInvalidArgument);
   Report index_into_dense;
   index_into_dense.index = 0;
-  EXPECT_EQ(dense_server.Accept(index_into_dense).code(),
+  EXPECT_EQ(dense->Accept(0, index_into_dense).code(),
             StatusCode::kInvalidArgument);
 
-  // The concurrent session surface enforces the same contract.
-  std::unique_ptr<PlanSession> session = bits_plan.value().StartSession(1);
-  EXPECT_EQ(session->Accept(0, short_bits).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(session->Accept(0, corrupt_bits).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(session->Accept(0, dense_into_bits).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(session->session().total_responses(), 0);
+  // Nothing was ingested anywhere.
+  EXPECT_EQ(dense->session().total_responses(), 0);
+  EXPECT_EQ(cat->session().total_responses(), 0);
+  EXPECT_EQ(bits->session().total_responses(), 0);
+  EXPECT_EQ(dense->Seal().histogram, Vector(dense_m, 0.0));
+  EXPECT_EQ(bits->Seal().histogram, Vector(n, 0.0));
 
-  // A well-formed report still lands after rejections, on both surfaces.
+  // A well-formed report still lands after rejections.
   Rng rng(5);
   ASSERT_TRUE(
-      bits_server.Accept(bits_plan.value().Client().Respond(0, rng)).ok());
-  EXPECT_EQ(bits_server.num_reports(), 1);
-  ASSERT_TRUE(
-      session->Accept(0, bits_plan.value().Client().Respond(0, rng)).ok());
-  EXPECT_EQ(session->session().total_responses(), 1);
+      bits->Accept(0, bits_plan.value().Client().Respond(0, rng)).ok());
+  EXPECT_EQ(bits->session().total_responses(), 1);
 }
 
 TEST(PlanBuilderTest, UnknownMechanismIsNotFoundAndListsRegistry) {
@@ -414,12 +385,12 @@ TEST(PlanBuilderTest, FixedStrategyDeploysAndValidatesShape) {
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   EXPECT_EQ(built.value().mechanism_name(), "Strategy");
 
-  // The fixed-strategy client draws exactly like a LocalRandomizer over q.
+  // The fixed-strategy client draws exactly like a StrategyReporter over q.
   Rng a(3), b(3);
-  const LocalRandomizer reference(q);
+  const StrategyReporter reference(q);
   const PlanClient client = built.value().Client();
   for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(client.Respond(i % n, a).index, reference.Respond(i % n, b));
+    EXPECT_EQ(client.Respond(i % n, a).index, reference.RespondIndex(i % n, b));
   }
 
   const Matrix wrong = RandomizedResponseMechanism::BuildStrategy(n + 1, 1.0);
@@ -517,6 +488,11 @@ TEST(PlanSessionTest, SessionsShareThePlansDecoderAndStrategy) {
   EXPECT_EQ(&third->session().decoder(), decoder);
   EXPECT_EQ(first->session().DecoderForVersion(0).get(), decoder);
   EXPECT_EQ(second->session().DecoderForVersion(0).get(), decoder);
+  // The plan keeps one WorkloadStats: stats() is the decoder's own copy.
+  const Plan& plan = built.value();
+  EXPECT_EQ(&plan.stats(),
+            &plan.StartSession(1)->session().decoder().workload_stats());
+  EXPECT_EQ(&copy.stats(), &decoder->workload_stats());
 
   // The served strategy is the plan's Q, bit for bit.
   const Matrix* q = built.value().DeployedStrategy();

@@ -65,15 +65,21 @@ TEST(RapporTest, AnalysisMatchesClosedForm) {
   for (double phi : profile.phi) EXPECT_NEAR(phi, expected, 1e-9);
 }
 
-TEST(RapporTest, SampleReportBitMarginals) {
+TEST(RapporTest, ReportBitMarginals) {
   Rng rng(111);
   const int n = 6;
   RapporMechanism r(n, 1.0);
+  // Draws through the deployed client, the one sampler RAPPOR reports come
+  // from.
+  const StatusOr<Deployment> deployment =
+      r.Deploy(WorkloadStats::From(HistogramWorkload(n)));
+  ASSERT_TRUE(deployment.ok()) << deployment.status().ToString();
   const int trials = 20000;
   std::vector<int> ones(n, 0);
   for (int t = 0; t < trials; ++t) {
-    const auto bits = r.SampleReport(2, rng);
-    for (int i = 0; i < n; ++i) ones[i] += bits[i];
+    const Report report = deployment.value().reporter->Respond(2, rng);
+    ASSERT_EQ(static_cast<int>(report.bits.size()), n);
+    for (int i = 0; i < n; ++i) ones[i] += report.bits[i];
   }
   const double f = r.flip_probability();
   for (int i = 0; i < n; ++i) {

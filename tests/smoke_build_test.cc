@@ -38,10 +38,10 @@ TEST(SmokeBuildTest, UmbrellaHeaderCoversEveryModule) {
   EXPECT_EQ(rr.Name(), "Randomized Response");
 
   // ldp
-  LocalRandomizer randomizer(RandomizedResponseMechanism::BuildStrategy(4, 1.0));
-  int response = randomizer.Respond(0, rng);
+  StrategyReporter reporter(RandomizedResponseMechanism::BuildStrategy(4, 1.0));
+  int response = reporter.Respond(0, rng).index;
   EXPECT_GE(response, 0);
-  EXPECT_LT(response, randomizer.num_outputs());
+  EXPECT_LT(response, reporter.num_outputs());
 
   // estimation
   WnnlsOptions wnnls_options;

@@ -380,9 +380,11 @@ TEST(WireEstimateTest, RoundTripsBitForBit) {
 std::unique_ptr<CollectionSession> MakeSession(int n, int num_shards) {
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 1.0);
   auto workload = std::make_shared<const HistogramWorkload>(n);
-  FactorizationAnalysis analysis(q, WorkloadStats::From(*workload));
-  return std::make_unique<CollectionSession>(std::move(analysis),
-                                             std::move(workload), num_shards);
+  auto decoder = std::make_shared<const ReportDecoder>(
+      ReportDecoder::FromAnalysis(
+          FactorizationAnalysis(q, WorkloadStats::From(*workload))));
+  return std::make_unique<CollectionSession>(
+      std::move(decoder), std::move(workload), num_shards);
 }
 
 TEST(MergeSnapshotsTest, MergeOfShardedEpochsMatchesSingleStreamExactly) {

@@ -25,7 +25,7 @@
 #include <gtest/gtest.h>
 
 #include "api/plan.h"
-#include "ldp/local_randomizer.h"
+#include "ldp/reporter.h"
 #include "linalg/rng.h"
 #include "mechanisms/randomized_response.h"
 #include "obs/exposition.h"
@@ -182,6 +182,58 @@ TEST(WireServiceTest, MalformedPayloadsGet400AndTheConnectionSurvives) {
   EXPECT_EQ(response.value().status, kWireStatusBadRequest);
 
   // The connection is still serving, and nothing was ingested.
+  EXPECT_TRUE(client.Ping().ok());
+  const StatusOr<EpochSnapshot> sealed = client.Seal();
+  ASSERT_TRUE(sealed.ok());
+  EXPECT_EQ(sealed.value().count, 0);
+  server.Stop();
+}
+
+TEST(WireServiceTest, BatchCountPastTheBodyGets400AndTheServerSurvives) {
+  // A kAcceptBatch count is untrusted: each entry needs at least a 4-byte
+  // length and one envelope, so a count the body cannot hold is rejected
+  // before it sizes an allocation. Reserving 0xFFFFFFFF Reports would throw
+  // std::bad_alloc on the connection thread and abort the whole server.
+  CollectionServer server(MakePlan(8), EphemeralOptions());
+  ASSERT_TRUE(server.Start().ok());
+  StatusOr<CollectionClient> connected =
+      CollectionClient::Connect(server.port());
+  ASSERT_TRUE(connected.ok());
+  CollectionClient& client = connected.value();
+
+  // An untagged kAcceptBatch payload: 16 zero tag bytes, the u32 count,
+  // then each entry as a u32 length and its bytes.
+  const auto batch_frame = [](std::uint32_t count,
+                              const std::vector<WireBytes>& entries) {
+    WireBytes frame(16, 0);
+    const auto put_u32 = [&frame](std::uint32_t v) {
+      for (int b = 0; b < 4; ++b) frame.push_back((v >> (8 * b)) & 0xff);
+    };
+    put_u32(count);
+    for (const WireBytes& entry : entries) {
+      put_u32(static_cast<std::uint32_t>(entry.size()));
+      frame.insert(frame.end(), entry.begin(), entry.end());
+    }
+    return frame;
+  };
+
+  // The 20-byte payload: tag, count 0xFFFFFFFF, no entries.
+  StatusOr<WireResponse> response = client.RawRequest(
+      static_cast<std::uint8_t>(WireMessageType::kAcceptBatch),
+      batch_frame(0xFFFFFFFFu, {}));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response.value().status, kWireStatusBadRequest);
+
+  // Count 3 with one well-formed entry.
+  Report report;
+  report.index = 1;
+  response = client.RawRequest(
+      static_cast<std::uint8_t>(WireMessageType::kAcceptBatch),
+      batch_frame(3, {EncodeReport(report)}));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response.value().status, kWireStatusBadRequest);
+
+  // The server is still up, and nothing was ingested.
   EXPECT_TRUE(client.Ping().ok());
   const StatusOr<EpochSnapshot> sealed = client.Seal();
   ASSERT_TRUE(sealed.ok());
@@ -455,10 +507,10 @@ TEST(WireServiceTest, NetworkedClientSurvivesAStrategyRoll) {
 
   Rng rng(17);
   auto ingest_epoch = [&](const Matrix& strategy) {
-    const LocalRandomizer randomizer(strategy);
+    const StrategyReporter reporter(strategy);
     for (int u = 0; u < 2000; ++u) {
       Report report;
-      report.index = randomizer.Respond(u % n, rng);
+      report.index = reporter.RespondIndex(u % n, rng);
       ASSERT_TRUE(remote.Accept(report).ok());
       ASSERT_TRUE(local->Accept(0, report).ok());
     }
@@ -488,7 +540,7 @@ TEST(WireServiceTest, NetworkedClientSurvivesAStrategyRoll) {
   local->Seal();
 
   // Now the poll comes back with the rolled strategy; the device swaps its
-  // randomizer and the next epoch seals under version 1.
+  // reporter and the next epoch seals under version 1.
   served = remote.GetStrategy();
   ASSERT_TRUE(served.ok());
   EXPECT_EQ(served.value().version, 1);

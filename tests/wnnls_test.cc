@@ -127,7 +127,8 @@ TEST(WnnlsEstimateTest, ReducesErrorInLowSampleRegime) {
   const double eps = 0.5;
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, eps);
   const PrefixWorkload workload(n);
-  FactorizationAnalysis fa(q, WorkloadStats::From(workload));
+  const ReportDecoder decoder = ReportDecoder::FromAnalysis(
+      FactorizationAnalysis(q, WorkloadStats::From(workload)));
   const Vector x{40, 0, 0, 30, 0, 20, 0, 10};  // N = 100.
   const Vector truth = workload.Apply(x);
 
@@ -136,9 +137,11 @@ TEST(WnnlsEstimateTest, ReducesErrorInLowSampleRegime) {
   for (int t = 0; t < trials; ++t) {
     const Vector y = SimulateResponseHistogram(q, x, rng);
     const WorkloadEstimate unbiased =
-        EstimateWorkloadAnswers(fa, workload, y, EstimatorKind::kUnbiased);
+        EstimateWorkloadAnswers(decoder, workload, y, std::llround(Sum(y)),
+                                EstimatorKind::kUnbiased);
     const WorkloadEstimate consistent =
-        EstimateWorkloadAnswers(fa, workload, y, EstimatorKind::kWnnls);
+        EstimateWorkloadAnswers(decoder, workload, y, std::llround(Sum(y)),
+                                EstimatorKind::kWnnls);
     for (int i = 0; i < n; ++i) {
       err_default += std::pow(unbiased.query_answers[i] - truth[i], 2);
       err_wnnls += std::pow(consistent.query_answers[i] - truth[i], 2);
