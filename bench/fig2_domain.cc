@@ -14,9 +14,9 @@
 // --structured switches to Kronecker-structured product domains past the
 // dense n ≈ 1024 ceiling (n up to 10^6 by default): per spec it times the
 // factored optimizer and the product-law error analysis, and with --out
-// writes the timings in the perf_suite JSON schema so CI can extend the
-// BENCH_perf.json trajectory to large n. Flags there: --specs (comma-
-// separated factory strings), --grid (epsilon split resolution), --out.
+// writes the timings as JSON rows so CI keeps a per-commit large-n
+// trajectory (BENCH_structured.json). Flags there: --specs (comma-separated
+// factory strings), --grid (epsilon split resolution), --out.
 
 #include <cmath>
 #include <cstdio>
@@ -112,8 +112,8 @@ int RunStructured(wfm::FlagParser& flags, bool full, double eps) {
               "sizes; no n x n object is built at any n above\n");
 
   if (!out.empty()) {
-    // perf_suite.cc's BENCH_perf.json schema, so CI merges these rows into
-    // the same per-commit trajectory the dense kernels feed.
+    // One {"kernel", "shape", "ns_per_op", "gflops"} row per timed phase;
+    // gflops is not meaningful for these and is written as 0.
     FILE* f = std::fopen(out.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot open %s for writing\n", out.c_str());

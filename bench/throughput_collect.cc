@@ -23,7 +23,8 @@
 //
 // --out=path (default BENCH_throughput.json) writes every best-of-trials
 // rate as {"scenario", "reports_per_sec", "threads"} so CI can keep a
-// per-commit ingest-throughput trajectory next to BENCH_perf.json.
+// per-commit ingest-throughput trajectory and gate it against the floors in
+// bench/baselines/.
 
 #include <algorithm>
 #include <cstdint>

@@ -170,14 +170,38 @@ StatusOr<int> CollectionSession::RestoreSealedEpoch(
         "snapshot strategy version is negative: " +
         std::to_string(snapshot.strategy_version));
   }
+  // A restored snapshot may arrive off the wire or disk; one NaN/Inf entry
+  // would poison every later windowed estimate. Categorical and bit-vector
+  // aggregates also count reports, so each entry must be a non-negative
+  // integer that a sealed epoch could hold: a categorical histogram sums to
+  // the report count, and a bit is set at most once per report.
+  const bool counts = report_kind_ != ReportKind::kDense;
+  double total = 0.0;
   for (std::size_t o = 0; o < snapshot.histogram.size(); ++o) {
-    // A restored snapshot may arrive off the wire or disk; one NaN/Inf entry
-    // would poison every later windowed estimate.
-    if (!std::isfinite(snapshot.histogram[o])) {
+    const double entry = snapshot.histogram[o];
+    if (!std::isfinite(entry)) {
       return Status::InvalidArgument(
           "snapshot histogram entry is not finite at coordinate " +
           std::to_string(o));
     }
+    if (counts && (entry < 0.0 || entry != std::floor(entry))) {
+      return Status::InvalidArgument(
+          "snapshot histogram entry is not a count at coordinate " +
+          std::to_string(o));
+    }
+    if (report_kind_ == ReportKind::kBitVector &&
+        entry > static_cast<double>(snapshot.count)) {
+      return Status::InvalidArgument(
+          "bit-vector snapshot count exceeds its report count at coordinate " +
+          std::to_string(o));
+    }
+    total += entry;
+  }
+  if (report_kind_ == ReportKind::kCategorical &&
+      total != static_cast<double>(snapshot.count)) {
+    return Status::InvalidArgument(
+        "categorical snapshot histogram sums to " + std::to_string(total) +
+        ", not its report count " + std::to_string(snapshot.count));
   }
   EpochSnapshot adopted = snapshot;
   std::lock_guard<std::mutex> lock(snapshots_mutex_);

@@ -135,7 +135,9 @@ class CollectionSession {
   /// a persisted store) or multi-node operation (adopting another node's
   /// sealed epoch). The snapshot is validated like any cross-boundary input
   /// (histogram dimension must equal num_outputs(), entries finite, count
-  /// non-negative → kInvalidArgument otherwise) and is assigned the next
+  /// non-negative; for categorical and bit-vector sessions every entry a
+  /// non-negative integer, summing to the count (categorical) or at most the
+  /// count (bit-vector) → kInvalidArgument otherwise) and is assigned the next
   /// local epoch id, which is returned. Thread-safe; counts toward
   /// WindowTotal()/total_responses() exactly like a locally sealed epoch.
   StatusOr<int> RestoreSealedEpoch(const EpochSnapshot& snapshot);

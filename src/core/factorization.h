@@ -97,9 +97,6 @@ class FactorizationAnalysis {
   /// Explicit V = W B for workloads small enough to materialize.
   Matrix OptimalV(const Matrix& w_explicit) const;
 
-  /// Unbiased estimate of the data vector from the response histogram.
-  Vector EstimateDataVector(const Vector& response_histogram) const;
-
   /// Relative residual of the factorization constraint W = (WB)Q, measured
   /// Gram-side as ||G B Q - G||_max / ||G||_max. Large values mean W is not
   /// in the row space of Q and the mechanism is biased.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 
 #include "core/objective.h"
@@ -203,7 +202,6 @@ RunResult RunOnce(const Matrix& gram, double eps, const OptimizerConfig& config,
       run.z = z;
     }
     if (record_history) run.history.push_back(eval.value);
-    beta *= config.step_decay;
   }
   OptimizerRuns().Increment();
   OptimizerIterations().Add(iterations);
@@ -278,10 +276,6 @@ OptimizerResult OptimizeStrategy(const Matrix& gram, double eps,
       RunResult run = RunOnce(gram, eps, config, m, beta,
                               config.step_search_iterations, trial_rng,
                               /*record_history=*/false, ws);
-      if (config.verbose) {
-        std::printf("  [step search] candidate %.1e -> objective %.6g\n",
-                    candidate, run.objective);
-      }
       if (std::isfinite(run.objective) && run.objective < best_obj) {
         best_obj = run.objective;
         step = beta;
@@ -297,11 +291,7 @@ OptimizerResult OptimizeStrategy(const Matrix& gram, double eps,
   OptimizerResult out;
   out.step_size_used = step;
   out.objective = std::numeric_limits<double>::infinity();
-  auto consider = [&](RunResult run, const char* label, int index) {
-    if (config.verbose) {
-      std::printf("  [%s %d] objective %.6g (initial %.6g)\n", label, index,
-                  run.objective, run.initial_objective);
-    }
+  auto consider = [&](RunResult run) {
     if (run.objective < out.objective) {
       out.objective = run.objective;
       out.q = std::move(run.q);
@@ -327,8 +317,7 @@ OptimizerResult OptimizeStrategy(const Matrix& gram, double eps,
     // allocation-count-stable path optimizer_alloc_test pins.
     for (int restart = 0; restart < config.num_restarts; ++restart) {
       consider(RunOnce(gram, eps, config, m, step, config.iterations,
-                       restart_rngs[restart], /*record_history=*/true, ws),
-               "restart", restart);
+                       restart_rngs[restart], /*record_history=*/true, ws));
     }
   } else {
     // Best-of-K restarts are embarrassingly parallel: each gets a private
@@ -346,7 +335,7 @@ OptimizerResult OptimizeStrategy(const Matrix& gram, double eps,
           }
         });
     for (int restart = 0; restart < config.num_restarts; ++restart) {
-      consider(std::move(runs[restart]), "restart", restart);
+      consider(std::move(runs[restart]));
     }
   }
 
@@ -368,8 +357,7 @@ OptimizerResult OptimizeStrategy(const Matrix& gram, double eps,
     }
     Rng run_rng = rng.Fork();
     consider(RunOnce(gram, eps, config, m, step, config.iterations, run_rng,
-                     /*record_history=*/true, ws, &init),
-             "seed", static_cast<int>(i));
+                     /*record_history=*/true, ws, &init));
   }
   LastObjective().Set(out.objective);
   return out;

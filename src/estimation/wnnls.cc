@@ -152,18 +152,4 @@ WnnlsResult WnnlsEstimate(const ReportDecoder& decoder, const Vector& aggregate,
   return SolveWnnlsFromGram(gram, rhs, opts, &unbiased);
 }
 
-WnnlsResult WnnlsEstimate(const ReportDecoder& decoder, const Vector& aggregate,
-                          const WnnlsOptions& options) {
-  WFM_CHECK(!decoder.needs_report_count())
-      << "affine decoder: use the overload taking the report count";
-  return WnnlsEstimate(decoder, aggregate, /*num_reports=*/0, options);
-}
-
-WnnlsResult WnnlsEstimate(const FactorizationAnalysis& analysis,
-                          const Vector& response_histogram,
-                          const WnnlsOptions& options) {
-  return WnnlsEstimate(ReportDecoder::FromAnalysis(analysis),
-                       response_histogram, options);
-}
-
 }  // namespace wfm

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <functional>
 
-#include "core/factorization.h"
 #include "estimation/decoder.h"
 #include "linalg/matrix.h"
 
@@ -70,16 +69,6 @@ WnnlsResult SolveWnnls(const GramOperator& gram_op, std::int64_t n,
 /// aggregate, which affine decoders (RAPPOR/OUE) need to debias.
 WnnlsResult WnnlsEstimate(const ReportDecoder& decoder, const Vector& aggregate,
                           std::int64_t num_reports,
-                          const WnnlsOptions& options = {});
-
-/// Count-free convenience for linear decoders (aborts on an affine one).
-WnnlsResult WnnlsEstimate(const ReportDecoder& decoder, const Vector& aggregate,
-                          const WnnlsOptions& options = {});
-
-/// Strategy-factorization special case; identical to estimating through
-/// ReportDecoder::FromAnalysis.
-WnnlsResult WnnlsEstimate(const FactorizationAnalysis& analysis,
-                          const Vector& response_histogram,
                           const WnnlsOptions& options = {});
 
 }  // namespace wfm

@@ -42,7 +42,7 @@ void PoolParallelFor(int total, double flops, Fn&& fn) {
 
 constexpr int kMr = 4;    // Micro-tile rows.
 constexpr int kNr = 8;    // Micro-tile columns.
-// Panel sizes tuned empirically (perf_suite, 1024³ shapes): the B panel
+// Panel sizes tuned empirically at 1024³ shapes: the B panel
 // (kKc * kNc doubles = 576 KiB) stays L2/L3-resident; larger panels lost
 // 10-20% on both the dev container and CI-class runners.
 constexpr int kKc = 192;  // k-panel depth (packed micro-panels span it).

@@ -773,5 +773,47 @@ TEST(SnapshotRestoreTest, RejectsMalformedSnapshots) {
   EXPECT_EQ(session->epochs_sealed(), 0);  // Nothing was adopted.
 }
 
+TEST(SnapshotRestoreTest, RejectsHistogramsThatAreNotCountVectors) {
+  auto restore = [](CollectionSession& session, Vector histogram,
+                    std::int64_t count) {
+    EpochSnapshot snapshot;
+    snapshot.histogram = std::move(histogram);
+    snapshot.count = count;
+    return session.RestoreSealedEpoch(snapshot).status().code();
+  };
+  constexpr StatusCode kInvalid = StatusCode::kInvalidArgument;
+
+  // A categorical epoch holds one response per report: entries are
+  // non-negative integers summing to the count. {5, -3, 0, 0} passes the
+  // dimension, finite and count checks, yet no session could have sealed it.
+  auto categorical = MakeSession(/*n=*/4, /*num_shards=*/1);
+  EXPECT_EQ(restore(*categorical, {5, -3, 0, 0}, 2), kInvalid);
+  EXPECT_EQ(restore(*categorical, {0.5, 0.5, 0, 0}, 1), kInvalid);
+  EXPECT_EQ(restore(*categorical, {1, 1, 0, 0}, 1), kInvalid);
+  EXPECT_EQ(categorical->epochs_sealed(), 0);
+
+  // A bit-vector coordinate is set at most once per report, so its count is
+  // an integer in [0, count]; the entries need not sum to the count.
+  const int n = 4;
+  auto workload = std::make_shared<const HistogramWorkload>(n);
+  CollectionSession bits(
+      std::make_shared<const ReportDecoder>(AffineDebias{0.75, 0.25},
+                                            WorkloadStats::From(*workload)),
+      workload, /*num_shards=*/1, ReportKind::kBitVector);
+  EXPECT_EQ(restore(bits, {2, 0, 1, 0}, 1), kInvalid);
+  EXPECT_EQ(restore(bits, {1, -1, 0, 0}, 1), kInvalid);
+  EXPECT_EQ(restore(bits, {0.5, 0, 0, 0}, 1), kInvalid);
+  EXPECT_EQ(bits.epochs_sealed(), 0);
+  EXPECT_EQ(restore(bits, {1, 0, 1, 1}, 1), StatusCode::kOk);
+
+  // Dense aggregates are real-valued sums: only the generic checks apply.
+  const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 1.0);
+  CollectionSession dense(
+      std::make_shared<const ReportDecoder>(ReportDecoder::FromAnalysis(
+          FactorizationAnalysis(q, WorkloadStats::From(*workload)))),
+      workload, /*num_shards=*/1, ReportKind::kDense);
+  EXPECT_EQ(restore(dense, {0.5, -1.25, 2, 0}, 1), StatusCode::kOk);
+}
+
 }  // namespace
 }  // namespace wfm

@@ -197,7 +197,7 @@ TEST(FactorizationTest, SampleComplexityOnUniformDataLeqWorstCase) {
             fa.SampleComplexity(0.01) + 1e-9);
 }
 
-TEST(FactorizationTest, EstimateDataVectorIsUnbiasedMap) {
+TEST(FactorizationTest, ReconstructionIsUnbiasedMap) {
   // B applied to the exact expected histogram Qx recovers x (up to the
   // factorization constraint): B(Qx) = x for full-rank strategies.
   Rng rng(78);
@@ -206,7 +206,7 @@ TEST(FactorizationTest, EstimateDataVectorIsUnbiasedMap) {
   FactorizationAnalysis fa(q, WorkloadStats::From(HistogramWorkload(n)));
   const Vector x{1, 2, 3, 4, 5};
   const Vector y = MultiplyVec(q, x);  // Expected response histogram.
-  const Vector x_hat = fa.EstimateDataVector(y);
+  const Vector x_hat = MultiplyVec(fa.ReconstructionB(), y);
   for (int u = 0; u < n; ++u) EXPECT_NEAR(x_hat[u], x[u], 1e-8);
 }
 

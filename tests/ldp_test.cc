@@ -127,7 +127,8 @@ TEST(ProtocolTest, UnbiasedWorkloadEstimates) {
   Vector mean(n, 0.0);
   for (int t = 0; t < trials; ++t) {
     const Vector y = SimulateResponseHistogram(q, x, rng);
-    const Vector answers = workload.Apply(fa.EstimateDataVector(y));
+    const Vector answers =
+        workload.Apply(MultiplyVec(fa.ReconstructionB(), y));
     for (int i = 0; i < n; ++i) mean[i] += answers[i] / trials;
   }
   const double var = fa.DataVariance(x);
@@ -153,7 +154,8 @@ TEST(ProtocolTest, EmpiricalVarianceMatchesTheorem34) {
   double total_sq_error = 0.0;
   for (int t = 0; t < trials; ++t) {
     const Vector y = SimulateResponseHistogram(q, x, rng);
-    const Vector answers = workload.Apply(fa.EstimateDataVector(y));
+    const Vector answers =
+        workload.Apply(MultiplyVec(fa.ReconstructionB(), y));
     for (int i = 0; i < n; ++i) {
       const double d = answers[i] - truth[i];
       total_sq_error += d * d;

@@ -115,7 +115,8 @@ TEST(VariancePropertiesTest, HierarchicalSimulationUnbiased) {
   Vector mean(n, 0.0);
   for (int t = 0; t < trials; ++t) {
     const Vector y = SimulateResponseHistogram(q, x, rng);
-    const Vector answers = workload.Apply(fa.EstimateDataVector(y));
+    const Vector answers =
+        workload.Apply(MultiplyVec(fa.ReconstructionB(), y));
     for (int i = 0; i < n; ++i) mean[i] += answers[i] / trials;
   }
   const double band = 5.0 * std::sqrt(fa.DataVariance(x) / trials);
@@ -134,7 +135,8 @@ TEST(VariancePropertiesTest, FourierSimulationUnbiased) {
   Vector mean(truth.size(), 0.0);
   for (int t = 0; t < trials; ++t) {
     const Vector y = SimulateResponseHistogram(q, x, rng);
-    const Vector answers = workload->Apply(fa.EstimateDataVector(y));
+    const Vector answers =
+        workload->Apply(MultiplyVec(fa.ReconstructionB(), y));
     for (std::size_t i = 0; i < truth.size(); ++i) mean[i] += answers[i] / trials;
   }
   const double band = 5.0 * std::sqrt(fa.DataVariance(x) / trials);
@@ -158,7 +160,8 @@ TEST(VariancePropertiesTest, EmpiricalVarianceMatchesAnalyticForHadamard) {
   double total_sq = 0.0;
   for (int t = 0; t < trials; ++t) {
     const Vector y = SimulateResponseHistogram(strat->strategy(), x, rng);
-    const Vector answers = workload->Apply(fa.EstimateDataVector(y));
+    const Vector answers =
+        workload->Apply(MultiplyVec(fa.ReconstructionB(), y));
     for (int i = 0; i < n; ++i) {
       total_sq += std::pow(answers[i] - truth[i], 2);
     }

@@ -288,7 +288,8 @@ TEST(WireServiceTest, PushedSnapshotsMergeIntoWindowedEstimates) {
     ASSERT_TRUE(reference->Accept(0, report).ok());
   }
   ASSERT_TRUE(client.Seal().ok());
-  const StatusOr<int> pushed = client.PushSnapshot(node_b->Seal());
+  const EpochSnapshot from_b = node_b->Seal();
+  const StatusOr<int> pushed = client.PushSnapshot(from_b);
   ASSERT_TRUE(pushed.ok()) << pushed.status().ToString();
   EXPECT_EQ(pushed.value(), 1);  // A's own epoch was 0.
 
@@ -306,6 +307,22 @@ TEST(WireServiceTest, PushedSnapshotsMergeIntoWindowedEstimates) {
   const StatusOr<int> rejected = client.PushSnapshot(wrong_dim);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+
+  // Right dimension, but not a histogram a categorical session could seal:
+  // a negative entry, or entries that do not sum to the report count.
+  EpochSnapshot negative = from_b;
+  negative.histogram.assign(from_b.histogram.size(), 0.0);
+  negative.histogram[0] = 5.0;
+  negative.histogram[1] = -3.0;
+  negative.count = 2;
+  EXPECT_EQ(client.PushSnapshot(negative).status().code(),
+            StatusCode::kInvalidArgument);
+  EpochSnapshot miscounted = from_b;
+  miscounted.count += 1;
+  EXPECT_EQ(client.PushSnapshot(miscounted).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(node_a.session().Snapshot(2).status().code(),
+            StatusCode::kNotFound);  // Nothing was adopted.
   node_a.Stop();
 }
 

@@ -3,6 +3,7 @@
 #include "estimation/wnnls.h"
 
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -159,14 +160,16 @@ TEST(WnnlsEstimateTest, NoopWhenUnbiasedEstimateAlreadyFeasible) {
   const int n = 4;
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 3.0);
   const HistogramWorkload workload(n);
-  FactorizationAnalysis fa(q, WorkloadStats::From(workload));
+  const ReportDecoder decoder = ReportDecoder::FromAnalysis(
+      FactorizationAnalysis(q, WorkloadStats::From(workload)));
   const Vector x{50000, 80000, 30000, 40000};
   const Vector y = SimulateResponseHistogram(q, x, rng);
-  const Vector unbiased = fa.EstimateDataVector(y);
+  const std::int64_t count = std::llround(Sum(y));
+  const Vector unbiased = decoder.EstimateDataVector(y, count);
   bool all_nonneg = true;
   for (double v : unbiased) all_nonneg &= v >= 0;
   ASSERT_TRUE(all_nonneg) << "draw unexpectedly produced negative estimates";
-  const WnnlsResult res = WnnlsEstimate(fa, y);
+  const WnnlsResult res = WnnlsEstimate(decoder, y, count);
   for (int u = 0; u < n; ++u) {
     EXPECT_NEAR(res.x[u], unbiased[u], 1e-4 * std::abs(unbiased[u]) + 1e-6);
   }
