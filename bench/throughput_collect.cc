@@ -1,6 +1,6 @@
 // Throughput of the concurrent collection pipeline: reports/sec through
-// CollectionSession::Accept as a function of ingest thread count and shard
-// count, against a serial baseline (one batch into a 1-shard
+// CollectionSession::AcceptBatch as a function of ingest thread count and
+// shard count, against a serial baseline (one batch into a 1-shard
 // ShardedAggregator, no session and no threads).
 //
 // Not a paper figure — this measures the subsystem the paper assumes exists
@@ -15,11 +15,12 @@
 //   --reports=8000000 --threads=1,2,4,8 --batch=4096 --n=256 --trials=5
 // Shard count follows the thread count unless --shards is given.
 //
-// A second table covers the bit-vector (RAPPOR/OUE) ingest paths: per-report
-// Accept (m atomic adds per report) against the batched AcceptBatch
-// scratch-count path (the whole batch folds into private integers, then one
-// atomic add per touched counter) — what the wire service runs for a
-// kAcceptBatch frame of packed reports. Disable with --bits=false.
+// A second table covers the bit-vector (RAPPOR/OUE) ingest paths: a
+// one-report AcceptBatch per report (direct adds, one atomic per set bit)
+// against the batched AcceptBatch scratch-count path (the whole batch folds
+// into private integers, then one atomic add per touched counter) — what
+// the wire service runs for a kAcceptBatch frame of packed reports. Disable
+// with --bits=false.
 //
 // --out=path (default BENCH_throughput.json) writes every best-of-trials
 // rate as {"scenario", "reports_per_sec", "threads"} so CI can keep a
@@ -68,7 +69,7 @@ double RunTrial(std::shared_ptr<const wfm::ReportDecoder> decoder,
            pos += static_cast<std::size_t>(batch)) {
         const std::size_t len =
             std::min<std::size_t>(static_cast<std::size_t>(batch), end - pos);
-        session.Accept(shard, std::span<const int>(&reports[pos], len));
+        session.AcceptBatch(shard, std::span<const int>(&reports[pos], len));
       }
     });
   }
@@ -88,7 +89,7 @@ double RunTrial(std::shared_ptr<const wfm::ReportDecoder> decoder,
 
 // One timed bit-vector trial: T threads stream disjoint slices of
 // pre-built bit-vector Reports (built outside the timed region) into a fresh
-// aggregator, one kind-dispatched Accept per report or one AcceptBatch per
+// aggregator, one AcceptBatch per report (a batch of one) or one per
 // `batch` reports. Returns reports/sec.
 double RunBitsTrial(const std::vector<wfm::Report>& reports, int m,
                     int threads, int batch, bool batched) {
@@ -106,7 +107,9 @@ double RunBitsTrial(const std::vector<wfm::Report>& reports, int m,
         if (batched) {
           agg.AcceptBatch(t, std::span<const wfm::Report>(&reports[pos], k));
         } else {
-          for (int i = 0; i < k; ++i) agg.Accept(t, reports[pos + i]);
+          for (int i = pos; i < pos + k; ++i) {
+            agg.AcceptBatch(t, std::span<const wfm::Report>(&reports[i], 1));
+          }
         }
       }
     });
@@ -186,7 +189,7 @@ int main(int argc, char** argv) {
   for (int trial = 0; trial < trials; ++trial) {
     wfm::ShardedAggregator serial(q.rows(), /*num_shards=*/1);
     wfm::Stopwatch timer;
-    serial.AddBatch(0, reports);
+    serial.AcceptBatch(0, reports);
     const double rate = num_reports / timer.ElapsedSeconds();
     serial_best = std::max(serial_best, rate);
   }
@@ -219,11 +222,11 @@ int main(int argc, char** argv) {
   table.Print();
 
   if (flags.GetBool("bits", true)) {
-    // Bit-vector ingest: per-report Accept vs the batched scratch-count
+    // Bit-vector ingest: one-report batches vs the batched scratch-count
     // path, at the same report volume over an m = n unary encoding.
     const int bit_reports = std::max(1, num_reports / 8);
     wfm::bench::PrintHeader(
-        "Bit-vector ingest: per-report Accept vs batched AcceptBatch",
+        "Bit-vector ingest: one-report vs batched AcceptBatch",
         "one atomic per set bit vs one atomic per touched counter per batch",
         "m = " + std::to_string(n) + ", " + std::to_string(bit_reports) +
             " reports, batch " + std::to_string(batch) + ", best of " +

@@ -27,11 +27,11 @@ Counter& ReportsRejected() {
   return counter;
 }
 
-/// Shape validation for reports arriving from untrusted devices, shared by
-/// PlanSession's single and batched ingest so both reject the same malformed
-/// inputs instead of aborting. `kind` is the deployment's report kind; a
-/// report of any other shape is rejected before it can reach a
-/// kind-checking abort (or silently skew a histogram).
+/// Shape validation for reports arriving from untrusted devices, so
+/// PlanSession::AcceptBatch rejects malformed inputs instead of aborting.
+/// `kind` is the deployment's report kind; a report of any other shape is
+/// rejected before it can reach a kind-checking abort (or silently skew a
+/// histogram).
 Status ValidateReport(const Report& report, int m, ReportKind kind) {
   const ReportKind shape = report.is_bits()    ? ReportKind::kBitVector
                            : report.is_dense() ? ReportKind::kDense
@@ -179,18 +179,6 @@ StatusOr<int> PlanSession::RollStrategy(Matrix q) {
   return version;
 }
 
-Status PlanSession::Accept(int shard, const Report& report) {
-  if (Status valid = ValidateReport(report, session_.num_outputs(),
-                                    session_.report_kind());
-      !valid.ok()) {
-    ReportsRejected().Increment();
-    return valid;
-  }
-  session_.Accept(shard, report);
-  ReportsAccepted().AddAt(shard, 1);
-  return Status::Ok();
-}
-
 Status PlanSession::AcceptBatch(int shard, std::span<const Report> reports) {
   // Validate the whole batch before ingesting anything, so a malformed
   // report rejects its batch atomically instead of leaving a prefix behind.
@@ -199,8 +187,9 @@ Status PlanSession::AcceptBatch(int shard, std::span<const Report> reports) {
                                       session_.report_kind());
         !valid.ok()) {
       ReportsRejected().Add(static_cast<std::int64_t>(reports.size()));
-      return Status::InvalidArgument("report " + std::to_string(i) +
-                                     " of batch rejected: " + valid.message());
+      return Status::InvalidArgument("report " + std::to_string(i) + " of " +
+                                     std::to_string(reports.size()) +
+                                     " rejected: " + valid.message());
     }
   }
   session_.AcceptBatch(shard, reports);

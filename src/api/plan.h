@@ -15,6 +15,9 @@
 //                             over k workers + cached EstimateServer (k = 1
 //                             ingests in arrival order, for a serial round)
 //
+// A session ingests through one verb, PlanSession::AcceptBatch; Accept for a
+// single report is a batch of one, validated and counted the same way.
+//
 // Mechanism names resolve through MechanismRegistry::Global(), so every
 // registered mechanism — the six Section 6.1 baselines, "Optimized", the
 // "RAPPOR"/"OUE" frequency oracles, and anything user-registered — deploys
@@ -106,27 +109,30 @@ class PlanClient {
 /// version-0 strategy are the plan's own immutable objects, shared.
 class PlanSession {
  public:
-  /// Ingests one report on the given shard; thread-safe. Reports arrive from
-  /// untrusted devices, so malformed ones — a shape that does not match the
-  /// deployment's report kind, a dense or bit-vector report whose dimension
-  /// mismatches the deployment's m, a non-finite dense entry, a bit entry
-  /// outside {0, 1}, an out-of-range categorical index — are rejected with
-  /// kInvalidArgument and never ingested, rather than aborting the server.
+  /// Untrusted ingest, any report kind — the session's one ingest verb;
+  /// thread-safe. Reports arrive from untrusted devices, so malformed ones —
+  /// a shape that does not match the deployment's report kind, a dense or
+  /// bit-vector report whose dimension mismatches the deployment's m, a
+  /// non-finite dense entry, a bit entry outside {0, 1}, an out-of-range
+  /// categorical index — are rejected with kInvalidArgument rather than
+  /// aborting the server. The whole batch is validated first and rejected
+  /// atomically: if any report is malformed, nothing is ingested and the
+  /// Status names the offending position. The accepted batch lands through
+  /// ShardedAggregator::AcceptBatch (for categorical reports, at most one
+  /// atomic per report and never O(m) work for a short batch over a large
+  /// alphabet), so network endpoints can hand over whole request bodies.
   /// Shard ids are caller-controlled, so an out-of-range shard still aborts.
-  Status Accept(int shard, const Report& report);
-
-  /// Batched untrusted ingest, any report kind: the whole batch is validated
-  /// first and rejected atomically — if any report is malformed, nothing is
-  /// ingested and the Status names the offending position. The accepted
-  /// batch lands through ShardedAggregator::AcceptBatch (at most one atomic
-  /// per report, never O(m) work for a short batch over a large alphabet),
-  /// so network endpoints can hand over whole request bodies.
   Status AcceptBatch(int shard, std::span<const Report> reports);
 
   /// Categorical batched hot path (trusted, pre-validated streams; aborts on
   /// out-of-range responses like the collect/ ingestion contract).
   void AcceptBatch(int shard, std::span<const int> responses) {
-    session_.Accept(shard, responses);
+    session_.AcceptBatch(shard, responses);
+  }
+
+  /// One untrusted report: AcceptBatch over a batch of one.
+  Status Accept(int shard, const Report& report) {
+    return AcceptBatch(shard, std::span<const Report>(&report, 1));
   }
 
   /// Freezes the current epoch (see CollectionSession::Seal).

@@ -51,20 +51,16 @@ CollectionSession::CollectionSession(
   decoders_.push_back(decoder_);
 }
 
-void CollectionSession::Accept(int shard, std::span<const int> responses) {
-  std::shared_lock<std::shared_mutex> lock(ingest_mutex_);
-  active_->AddBatch(shard, responses);
-}
-
-void CollectionSession::Accept(int shard, const Report& report) {
-  std::shared_lock<std::shared_mutex> lock(ingest_mutex_);
-  active_->Accept(shard, report);
-}
-
 void CollectionSession::AcceptBatch(int shard,
                                     std::span<const Report> reports) {
   std::shared_lock<std::shared_mutex> lock(ingest_mutex_);
   active_->AcceptBatch(shard, reports);
+}
+
+void CollectionSession::AcceptBatch(int shard,
+                                    std::span<const int> responses) {
+  std::shared_lock<std::shared_mutex> lock(ingest_mutex_);
+  active_->AcceptBatch(shard, responses);
 }
 
 EpochSnapshot CollectionSession::Seal() {
@@ -77,10 +73,13 @@ EpochSnapshot CollectionSession::Seal() {
     sealed = std::exchange(active_, std::move(fresh));
   }
   // `sealed` is quiescent: the exclusive section above waited out every
-  // in-flight Accept(), and new ones only see the fresh aggregator.
+  // in-flight AcceptBatch(), and new ones only see the fresh aggregator.
   EpochSnapshot snapshot;
   snapshot.histogram = sealed->Merge();
   snapshot.count = sealed->num_responses();
+  // Release the sealed counters (O(shards x m)) before the history copy of
+  // the histogram is made, so the two are never resident together.
+  sealed.reset();
   {
     std::lock_guard<std::mutex> lock(snapshots_mutex_);
     snapshot.epoch_id = static_cast<int>(snapshots_.size());

@@ -26,8 +26,8 @@
 // histogram contribution and its count increment to the same epoch (which
 // the exclusive seal section guarantees).
 //
-// Concurrency contract: the Accept() overloads may be called from any number
-// of threads (each worker passing its own shard id keeps shards
+// Concurrency contract: the AcceptBatch() overloads may be called from any
+// number of threads (each worker passing its own shard id keeps shards
 // contention-free, but any shard id is safe); Seal(), snapshot accessors,
 // and WindowTotal() may run concurrently with ingestion. A reader/writer
 // lock around the active aggregator makes the epoch cut exact: Seal() waits
@@ -93,25 +93,22 @@ class CollectionSession {
   int num_outputs() const { return decoder_->m(); }
   ReportKind report_kind() const { return report_kind_; }
 
-  /// Ingests one report of any shape — the single kind-dispatched entry
-  /// point (dispatches on Report::is_bits() / is_dense(); the shape must
-  /// match the session's report_kind()). Thread-safe; this layer ingests
-  /// pre-validated streams and aborts on malformed ones — untrusted reports
-  /// go through api/PlanSession::Accept (or the wire/ service), which
-  /// rejects them with kInvalidArgument first.
-  void Accept(int shard, const Report& report);
-
-  /// Kind-dispatched batched ingest: one report per element, aggregated per
-  /// batch as ShardedAggregator::AcceptBatch describes.
+  /// Ingests a batch of reports of any shape into the current epoch — the
+  /// session's one ingest verb; a single report is a batch of one. Each
+  /// report's shape must match report_kind(). Thread-safe; this layer
+  /// ingests pre-validated streams and aborts on malformed ones (see
+  /// ShardedAggregator::AcceptBatch) — untrusted reports go through
+  /// api/PlanSession (or the wire/ service), which rejects them with
+  /// kInvalidArgument first.
   void AcceptBatch(int shard, std::span<const Report> reports);
 
-  /// Ingests a batch of categorical responses into the current epoch.
+  /// The pre-validated categorical stream: one response index per element.
   /// Thread-safe; aborts on out-of-range responses or shard ids.
-  void Accept(int shard, std::span<const int> responses);
+  void AcceptBatch(int shard, std::span<const int> responses);
 
   /// Freezes the current epoch and starts a new one. Returns the sealed
   /// snapshot (also retained in the session's history). Waits for in-flight
-  /// Accept() batches, so the epoch cut is exact; new batches proceed into
+  /// AcceptBatch() calls, so the epoch cut is exact; new batches proceed into
   /// fresh shards as soon as the swap is done, before the O(shards x m)
   /// merge runs.
   EpochSnapshot Seal();
@@ -185,7 +182,7 @@ class CollectionSession {
   int num_shards_;
   ReportKind report_kind_;
 
-  // Accept() holds this shared; Seal() holds it exclusive only for the
+  // AcceptBatch() holds this shared; Seal() holds it exclusive only for the
   // pointer swap, so ingestion stalls for O(1), not O(shards x m).
   mutable std::shared_mutex ingest_mutex_;
   std::unique_ptr<ShardedAggregator> active_;

@@ -17,8 +17,8 @@ void AtomicAdd(std::atomic<double>& target, double value) {
 
 // Telemetry mirrors of the per-shard totals, routed to the obs stripe
 // matching the caller's shard id so the extra relaxed add contends exactly
-// as much as the shard counter it sits next to. Batched paths record once
-// per batch, per-report paths once per report — the same cadence as
+// as much as the shard counter it sits next to. Every AcceptBatch call
+// records once (a single report is a batch of one), the same cadence as
 // `Shard::total`, so a scrape equals num_responses() at quiescence.
 Counter& IngestReports() {
   static Counter& counter =
@@ -61,6 +61,15 @@ void AddCategoricalBatch(std::vector<std::atomic<std::int64_t>>& counts,
   }
 }
 
+/// Adds a landed batch of `k` reports to its shard's total and to the
+/// telemetry. A bit-vector report is one user however many bits it sets; the
+/// total feeds the affine debias N.
+void CountBatch(std::atomic<std::int64_t>& total, int shard, std::size_t k) {
+  total.fetch_add(static_cast<std::int64_t>(k), std::memory_order_relaxed);
+  IngestReports().AddAt(shard, static_cast<std::int64_t>(k));
+  IngestBatches().AddAt(shard, 1);
+}
+
 }  // namespace
 
 const char* KindName(ReportKind kind) {
@@ -98,25 +107,8 @@ const ShardedAggregator::Shard& ShardedAggregator::GetShard(int shard) const {
   return *shards_[shard];
 }
 
-void ShardedAggregator::Accept(int shard, const Report& report) {
-  if (report.is_bits()) {
-    AddBits(shard, report.bits);
-  } else if (report.is_dense()) {
-    AddDense(shard, report.dense);
-  } else {
-    Add(shard, report.index);
-  }
-}
-
 void ShardedAggregator::AcceptBatch(int shard,
                                     std::span<const Report> reports) {
-  // Small batches skip the scratch buffers (bit-vector and dense reports
-  // touch m counters each, so they amortize from the second report on;
-  // categorical batches choose per batch in AddCategoricalBatch).
-  if (reports.size() < 2) {
-    for (const Report& report : reports) Accept(shard, report);
-    return;
-  }
   Shard& s = GetShard(shard);
   switch (kind_) {
     case ReportKind::kCategorical: {
@@ -131,11 +123,30 @@ void ShardedAggregator::AcceptBatch(int shard,
       break;
     }
     case ReportKind::kBitVector: {
-      std::vector<std::int64_t> local(num_outputs_, 0);
-      for (const Report& report : reports) {
+      const auto check_shape = [this](const Report& report) {
         WFM_CHECK(report.is_bits())
             << "non-bit-vector report in a bit-vector batch";
         WFM_CHECK_EQ(static_cast<int>(report.bits.size()), num_outputs_);
+      };
+      // Bit-vector and dense reports touch m counters each, so a lone report
+      // adds straight to the shard and a longer batch folds into scratch
+      // first, one atomic per touched counter per batch.
+      if (reports.size() < 2) {
+        for (const Report& report : reports) {
+          check_shape(report);
+          for (int o = 0; o < num_outputs_; ++o) {
+            const std::uint8_t bit = report.bits[o];
+            WFM_CHECK_LE(bit, 1)
+                << "bit report entry out of range:" << static_cast<int>(bit)
+                << "at coordinate" << o;
+            if (bit != 0) s.counts[o].fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        break;
+      }
+      std::vector<std::int64_t> local(num_outputs_, 0);
+      for (const Report& report : reports) {
+        check_shape(report);
         for (int o = 0; o < num_outputs_; ++o) {
           const std::uint8_t bit = report.bits[o];
           WFM_CHECK_LE(bit, 1)
@@ -152,10 +163,24 @@ void ShardedAggregator::AcceptBatch(int shard,
       break;
     }
     case ReportKind::kDense: {
-      Vector local(num_outputs_, 0.0);
-      for (const Report& report : reports) {
+      const auto check_shape = [this](const Report& report) {
         WFM_CHECK(report.is_dense()) << "non-dense report in a dense batch";
         WFM_CHECK_EQ(static_cast<int>(report.dense.size()), num_outputs_);
+      };
+      // The same choice fixes the floating-point order: a lone report adds
+      // every coordinate to the shard as it stands.
+      if (reports.size() < 2) {
+        for (const Report& report : reports) {
+          check_shape(report);
+          for (int o = 0; o < num_outputs_; ++o) {
+            AtomicAdd(s.dense[o], report.dense[o]);
+          }
+        }
+        break;
+      }
+      Vector local(num_outputs_, 0.0);
+      for (const Report& report : reports) {
+        check_shape(report);
         for (int o = 0; o < num_outputs_; ++o) local[o] += report.dense[o];
       }
       for (int o = 0; o < num_outputs_; ++o) {
@@ -164,64 +189,20 @@ void ShardedAggregator::AcceptBatch(int shard,
       break;
     }
   }
-  s.total.fetch_add(static_cast<std::int64_t>(reports.size()),
-                    std::memory_order_relaxed);
-  IngestReports().AddAt(shard, static_cast<std::int64_t>(reports.size()));
-  IngestBatches().AddAt(shard, 1);
+  CountBatch(s.total, shard, reports.size());
 }
 
-void ShardedAggregator::Add(int shard, int response) {
+void ShardedAggregator::AcceptBatch(int shard,
+                                    std::span<const int> responses) {
   WFM_CHECK(kind_ == ReportKind::kCategorical)
-      << "categorical Add on a" << KindName(kind_) << "aggregator";
-  Shard& s = GetShard(shard);
-  WFM_CHECK(response >= 0 && response < num_outputs_)
-      << "response out of range:" << response << "for m =" << num_outputs_;
-  s.counts[response].fetch_add(1, std::memory_order_relaxed);
-  s.total.fetch_add(1, std::memory_order_relaxed);
-  IngestReports().AddAt(shard, 1);
-}
-
-void ShardedAggregator::AddBatch(int shard, std::span<const int> responses) {
-  WFM_CHECK(kind_ == ReportKind::kCategorical)
-      << "categorical AddBatch on a" << KindName(kind_) << "aggregator";
+      << "categorical AcceptBatch on a" << KindName(kind_) << "aggregator";
   Shard& s = GetShard(shard);
   AddCategoricalBatch(s.counts, responses, [this](int response) {
     WFM_CHECK(response >= 0 && response < num_outputs_)
         << "response out of range:" << response << "for m =" << num_outputs_;
     return response;
   });
-  s.total.fetch_add(static_cast<std::int64_t>(responses.size()),
-                    std::memory_order_relaxed);
-  IngestReports().AddAt(shard, static_cast<std::int64_t>(responses.size()));
-  IngestBatches().AddAt(shard, 1);
-}
-
-void ShardedAggregator::AddDense(int shard, std::span<const double> report) {
-  WFM_CHECK(kind_ == ReportKind::kDense)
-      << "dense AddDense on a" << KindName(kind_) << "aggregator";
-  Shard& s = GetShard(shard);
-  WFM_CHECK_EQ(static_cast<int>(report.size()), num_outputs_);
-  for (int o = 0; o < num_outputs_; ++o) {
-    AtomicAdd(s.dense[o], report[o]);
-  }
-  s.total.fetch_add(1, std::memory_order_relaxed);
-  IngestReports().AddAt(shard, 1);
-}
-
-void ShardedAggregator::AddBits(int shard, std::span<const std::uint8_t> report) {
-  WFM_CHECK(kind_ == ReportKind::kBitVector)
-      << "bit-vector AddBits on a" << KindName(kind_) << "aggregator";
-  Shard& s = GetShard(shard);
-  WFM_CHECK_EQ(static_cast<int>(report.size()), num_outputs_);
-  for (int o = 0; o < num_outputs_; ++o) {
-    const std::uint8_t bit = report[o];
-    WFM_CHECK_LE(bit, 1) << "bit report entry out of range:"
-                         << static_cast<int>(bit) << "at coordinate" << o;
-    if (bit != 0) s.counts[o].fetch_add(1, std::memory_order_relaxed);
-  }
-  // One n-bit report is one user; the total feeds the affine debias N.
-  s.total.fetch_add(1, std::memory_order_relaxed);
-  IngestReports().AddAt(shard, 1);
+  CountBatch(s.total, shard, responses.size());
 }
 
 Vector ShardedAggregator::Merge() const {

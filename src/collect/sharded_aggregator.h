@@ -5,7 +5,8 @@
 // needs the m-dimensional sum y, and addition commutes — so the aggregator
 // is an array of fixed-size shards, one per ingest worker. Workers bump
 // per-shard counters (relaxed atomics, cache-line padded so shards never
-// share a line). A categorical batch of k reports whose alphabet is small
+// share a line). There is one ingest verb, AcceptBatch(): a single report is
+// a batch of one. A categorical batch of k reports whose alphabet is small
 // next to it (m <= 4k) first accumulates into private scratch counts, so the
 // atomic traffic is one add per touched output per batch, not one per
 // report; a batch over a large alphabet adds each report straight to its
@@ -14,20 +15,20 @@
 // aggregate.
 //
 // Three report kinds cover every deployable mechanism (ldp/reporter.h):
-//   * kCategorical — strategy mechanisms; Add()/AddBatch() count response
-//     indices. Counts are kept as integers, so Merge() over a quiescent
-//     aggregator is *exactly* the response histogram of the report stream
-//     (y_o = #{reports == o}), independent of shard assignment and thread
-//     interleaving (integer sums are associative; doubles represent them
-//     exactly below 2^53).
+//   * kCategorical — strategy mechanisms; AcceptBatch() counts response
+//     indices, as Reports or as a pre-validated int stream. Counts are
+//     kept as integers, so Merge() over a quiescent aggregator is *exactly*
+//     the response histogram of the report stream (y_o = #{reports == o}),
+//     independent of shard assignment and thread interleaving (integer sums
+//     are associative; doubles represent them exactly below 2^53).
 //   * kBitVector — unary-encoding frequency oracles (RAPPOR, OUE); each
 //     n-bit report adds its set bits to the per-coordinate counts.
 //     Same integer counters as kCategorical, so the exactness guarantee
 //     carries over; one report bumps up to m counters but the report total
 //     by exactly one (the count feeds the affine debias x̂ = (y − Nq)/(p−q)).
 //   * kDense — additive mechanisms (distributed Matrix Mechanism);
-//     AddDense() sums real m-vector reports with atomic compare-exchange
-//     adds. Still linear and thread-safe, but floating-point addition is not
+//     real m-vector reports are summed with atomic compare-exchange adds.
+//     Still linear and thread-safe, but floating-point addition is not
 //     associative, so Merge() is deterministic only up to rounding under
 //     concurrent ingestion (exact for integer-valued reports).
 // Merge() while ingestion is still running is safe but only guaranteed to
@@ -69,30 +70,21 @@ class ShardedAggregator {
   int num_shards() const { return static_cast<int>(shards_.size()); }
   ReportKind kind() const { return kind_; }
 
-  /// Records one report of any shape on the given shard — the single
-  /// kind-dispatched landing pad of this layer (the report's shape must
-  /// match kind(); a mismatch aborts, as do out-of-range entries and shard
-  /// ids: this layer ingests pre-validated streams, the api/ and wire/
-  /// layers reject untrusted malformed reports with Status first).
-  void Accept(int shard, const Report& report);
-
-  /// Batched kind-dispatched ingest: one report per element. Dense and
-  /// bit-vector batches accumulate into private buffers first, so the atomic
-  /// traffic is one add per touched counter per batch, not one per report
-  /// (per bit, for bit vectors); categorical batches do the same when
-  /// m <= 4k and add each report directly otherwise (see AddBatch).
+  /// Records a batch of reports of any shape on the given shard — the one
+  /// ingest verb of this layer; a single report is a batch of one. Every
+  /// report's shape must match kind(): a mismatch aborts, as do wrong
+  /// dimensions, out-of-range entries and shard ids (this layer ingests
+  /// pre-validated streams; the api/ and wire/ layers reject untrusted
+  /// malformed reports with Status first). Bit-vector and dense batches of
+  /// two or more accumulate into private buffers, so the atomic traffic is
+  /// one add per touched counter per batch; a lone report adds directly.
+  /// Categorical batches choose per batch as the file comment describes.
   void AcceptBatch(int shard, std::span<const Report> reports);
 
-  /// Records one categorical response in [0, num_outputs) on the given
-  /// shard. Thread-safe; out-of-range responses, shard ids, and kind
-  /// mismatches abort (they indicate a corrupt or malicious report stream,
-  /// validated before it can skew y).
-  void Add(int shard, int response);
-
-  /// Batched categorical hot path: validates and records every response.
-  /// Uses O(m) scratch only when k >= 16 and m <= 4k; otherwise each
-  /// response is one relaxed atomic add.
-  void AddBatch(int shard, std::span<const int> responses);
+  /// The pre-validated categorical stream: one response index in
+  /// [0, num_outputs) per element, landed exactly like a batch of
+  /// categorical Reports. Aborts on a non-categorical aggregator.
+  void AcceptBatch(int shard, std::span<const int> responses);
 
   /// Folds all shards into one aggregate, O(num_shards x num_outputs).
   /// Categorical: exact (bit-identical to serial aggregation) once ingestion
@@ -103,16 +95,6 @@ class ShardedAggregator {
   std::int64_t num_responses() const;
 
  private:
-  /// Records one dense m-vector report on the given shard (kDense only);
-  /// reached through the kind dispatch in Accept().
-  void AddDense(int shard, std::span<const double> report);
-
-  /// Records one m-bit report on the given shard (kBitVector only). Entries
-  /// must be 0 or 1; anything else aborts (corrupt report stream). Counts
-  /// one report toward num_responses(). Reached through Accept()'s kind
-  /// dispatch; batches should go through AcceptBatch.
-  void AddBits(int shard, std::span<const std::uint8_t> report);
-
   // One worker's partial aggregate. alignas keeps the hot `total` counters
   // of different shards on different cache lines; the count arrays live in
   // separate heap blocks and do not interfere. Exactly one of

@@ -145,22 +145,4 @@ void KroneckerMatTVecInto(const std::vector<const Matrix*>& factors,
   MatVecImpl(factors, /*transpose=*/true, x, y, scratch);
 }
 
-std::int64_t KroneckerRows(const std::vector<const Matrix*>& factors) {
-  std::int64_t n = 1;
-  for (const Matrix* f : factors) {
-    WFM_CHECK(f != nullptr);
-    n = CheckedMulNonNegative(n, f->rows());
-  }
-  return n;
-}
-
-std::int64_t KroneckerCols(const std::vector<const Matrix*>& factors) {
-  std::int64_t n = 1;
-  for (const Matrix* f : factors) {
-    WFM_CHECK(f != nullptr);
-    n = CheckedMulNonNegative(n, f->cols());
-  }
-  return n;
-}
-
 }  // namespace wfm

@@ -51,10 +51,6 @@ Vector KroneckerMatTVec(const std::vector<const Matrix*>& factors,
 void KroneckerMatTVecInto(const std::vector<const Matrix*>& factors,
                           const Vector& x, Vector& y, Vector& scratch);
 
-/// Π over factors of the selected dimension, checked against int64 overflow.
-std::int64_t KroneckerRows(const std::vector<const Matrix*>& factors);
-std::int64_t KroneckerCols(const std::vector<const Matrix*>& factors);
-
 /// Multiplies two non-negative extents, aborting (WFM_CHECK) on int64
 /// overflow. Shared by the workload layer's product-domain sizing.
 std::int64_t CheckedMulNonNegative(std::int64_t a, std::int64_t b);

@@ -18,6 +18,7 @@
 #include "common/check.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
+#include "wire/byte_order.h"
 #include "wire/snapshot_store.h"
 
 namespace wfm {
@@ -218,42 +219,11 @@ IoResult DiscardBytes(int fd, std::uint64_t size, int deadline_ms) {
   return IoResult::kOk;
 }
 
-void PutU16LE(WireBytes& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void PutU32LE(WireBytes& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void PutU64LE(WireBytes& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-std::uint32_t GetU32LE(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-std::uint64_t GetU64LE(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = v << 8 | p[i];
-  return v;
-}
-
 IoResult SendResponse(int fd, const WireResponse& response, int deadline_ms) {
   WireBytes frame;
   frame.reserve(4 + 2 + response.payload.size());
-  PutU32LE(frame, static_cast<std::uint32_t>(2 + response.payload.size()));
-  PutU16LE(frame, response.status);
+  PutU32(frame, static_cast<std::uint32_t>(2 + response.payload.size()));
+  PutU16(frame, response.status);
   frame.insert(frame.end(), response.payload.begin(), response.payload.end());
   return WriteBytes(fd, frame.data(), frame.size(), deadline_ms);
 }
@@ -283,7 +253,7 @@ WireResponse ShedResponse(int retry_after_ms, int shard, std::int64_t cap) {
   response.status = kWireStatusUnavailable;
   const std::uint32_t hint =
       retry_after_ms > 0 ? static_cast<std::uint32_t>(retry_after_ms) : 0;
-  PutU32LE(response.payload, hint);
+  PutU32(response.payload, hint);
   const std::string message =
       "shard " + std::to_string(shard) + " at admission cap " +
       std::to_string(cap) + " unsealed reports; retry after " +
@@ -299,7 +269,60 @@ std::uint32_t RetryAfterHintMs(const WireResponse& response) {
       response.payload.size() < 4) {
     return 0;
   }
-  return GetU32LE(response.payload.data());
+  return GetU32(response.payload.data());
+}
+
+// Decodes an ingest frame's body (after the idempotency tag) into its
+// reports: one wire report for kAccept, `u32 count | count x (u32 len |
+// wire report)` for kAcceptBatch. Every byte is untrusted.
+StatusOr<std::vector<Report>> DecodeIngestBody(
+    std::span<const std::uint8_t> body, bool batch) {
+  std::vector<Report> reports;
+  if (!batch) {
+    StatusOr<Report> report = DecodeReport(body);
+    if (!report.ok()) return report.status();
+    reports.push_back(std::move(report).value());
+    return reports;
+  }
+  if (body.size() < 4) {
+    return Status::InvalidArgument("batch frame too short for its count");
+  }
+  const std::uint32_t count = GetU32(body.data());
+  if (count == 0) return Status::InvalidArgument("batch frame is empty");
+  // The count is untrusted: every entry takes at least a 4-byte length and
+  // one envelope, so a count the body cannot hold is rejected before it
+  // sizes an allocation.
+  if (count > (body.size() - 4) / (4 + kWireEnvelopeBytes)) {
+    return Status::InvalidArgument(
+        "batch count " + std::to_string(count) + " exceeds what a " +
+        std::to_string(body.size()) + "-byte body can hold");
+  }
+  reports.reserve(count);
+  std::size_t offset = 4;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    if (body.size() - offset < 4) {
+      return Status::InvalidArgument("batch truncated before report " +
+                                     std::to_string(i));
+    }
+    const std::uint32_t entry = GetU32(body.data() + offset);
+    offset += 4;
+    if (body.size() - offset < entry) {
+      return Status::InvalidArgument("batch report " + std::to_string(i) +
+                                     " overruns the frame");
+    }
+    StatusOr<Report> report = DecodeReport(body.subspan(offset, entry));
+    if (!report.ok()) {
+      return Status::InvalidArgument("batch report " + std::to_string(i) +
+                                     " rejected: " +
+                                     report.status().message());
+    }
+    reports.push_back(std::move(report).value());
+    offset += entry;
+  }
+  if (offset != body.size()) {
+    return Status::InvalidArgument("batch carries trailing bytes");
+  }
+  return reports;
 }
 
 Status StatusFromResponse(const WireResponse& response) {
@@ -502,7 +525,7 @@ void CollectionServer::ServeConnection(int fd, int connection_id) {
       telemetry.timeouts->Increment();
       break;
     }
-    const std::uint32_t length = GetU32LE(length_bytes);
+    const std::uint32_t length = GetU32(length_bytes);
     if (length < 1 || length > options_.max_frame_bytes) {
       // Oversized (or empty) frame: drain the declared body without ever
       // buffering it, answer 400, and keep serving — the frame cap must not
@@ -576,25 +599,43 @@ bool CollectionServer::ShedIngest(int shard, std::int64_t num_reports) const {
   return backlog + num_reports > cap;
 }
 
-WireResponse CollectionServer::AdmitTagged(
-    std::uint64_t client_id, std::uint64_t sequence, int shard,
-    std::int64_t num_reports, const std::function<Status()>& ingest) {
-  ClientDedupWindow* window;
-  {
-    std::lock_guard<std::mutex> lock(dedup_mutex_);
-    std::unique_ptr<ClientDedupWindow>& slot = dedup_windows_[client_id];
-    if (slot == nullptr) slot = std::make_unique<ClientDedupWindow>();
-    window = slot.get();
+WireResponse CollectionServer::HandleIngest(
+    std::span<const std::uint8_t> payload, int shard, bool batch) {
+  if (payload.size() < 16) {
+    return ErrorResponse(Status::InvalidArgument(
+        "ingest frame too short for its 16-byte idempotency tag"));
   }
-  std::lock_guard<std::mutex> lock(window->mu);
+  const std::uint64_t client_id = GetU64(payload.data());
+  const std::uint64_t sequence = GetU64(payload.data() + 8);
+  StatusOr<std::vector<Report>> decoded =
+      DecodeIngestBody(payload.subspan(16), batch);
+  if (!decoded.ok()) return ErrorResponse(decoded.status());
+  const std::vector<Report>& reports = decoded.value();
+  const std::int64_t num_reports = static_cast<std::int64_t>(reports.size());
+
+  // Tagged frames are exactly-once: the client's window lock is held from
+  // the duplicate check through the ingest, so concurrent re-deliveries of
+  // one sequence cannot both count.
+  ClientDedupWindow* window = nullptr;
+  std::unique_lock<std::mutex> window_lock;
   const std::uint64_t span = static_cast<std::uint64_t>(options_.dedup_window);
-  if (window->any && sequence <= window->max_seq) {
-    // Older than the window: long since delivered (acknowledging is the only
-    // safe answer for a retry). Inside the window: consult the exact set.
-    if (window->max_seq - sequence >= span ||
-        window->seen.count(sequence) > 0) {
-      Telemetry().deduped->Add(num_reports);
-      return IngestAck(/*duplicate=*/true);
+  if (client_id != 0 && options_.dedup_window > 0) {
+    {
+      std::lock_guard<std::mutex> lock(dedup_mutex_);
+      std::unique_ptr<ClientDedupWindow>& slot = dedup_windows_[client_id];
+      if (slot == nullptr) slot = std::make_unique<ClientDedupWindow>();
+      window = slot.get();
+    }
+    window_lock = std::unique_lock<std::mutex>(window->mu);
+    if (window->any && sequence <= window->max_seq) {
+      // Older than the window: long since delivered (acknowledging is the
+      // only safe answer for a retry). Inside the window: consult the exact
+      // set.
+      if (window->max_seq - sequence >= span ||
+          window->seen.count(sequence) > 0) {
+        Telemetry().deduped->Add(num_reports);
+        return IngestAck(/*duplicate=*/true);
+      }
     }
   }
   // Fresh work: duplicates bypass admission control above (re-delivery of
@@ -604,109 +645,25 @@ WireResponse CollectionServer::AdmitTagged(
     return ShedResponse(options_.retry_after_ms, shard,
                         options_.max_unsealed_reports_per_shard);
   }
-  if (Status accepted = ingest(); !accepted.ok()) {
+  if (Status accepted = session_->AcceptBatch(shard, reports);
+      !accepted.ok()) {
     // Not recorded: the frame never counted, so a (corrected) retry is not a
     // duplicate.
     return ErrorResponse(accepted);
   }
   shard_backlog_[static_cast<std::size_t>(shard)].fetch_add(
       num_reports, std::memory_order_relaxed);
-  window->seen.insert(sequence);
-  if (!window->any || sequence > window->max_seq) {
-    window->max_seq = sequence;
-    window->any = true;
-  }
-  if (window->max_seq >= span) {
-    window->seen.erase(window->seen.begin(),
-                       window->seen.lower_bound(window->max_seq - span + 1));
-  }
-  return IngestAck(/*duplicate=*/false);
-}
-
-WireResponse CollectionServer::HandleIngest(
-    std::span<const std::uint8_t> payload, int shard, bool batch) {
-  if (payload.size() < 16) {
-    return ErrorResponse(Status::InvalidArgument(
-        "ingest frame too short for its 16-byte idempotency tag"));
-  }
-  const std::uint64_t client_id = GetU64LE(payload.data());
-  const std::uint64_t sequence = GetU64LE(payload.data() + 8);
-  const std::span<const std::uint8_t> body = payload.subspan(16);
-
-  std::vector<Report> reports;
-  if (!batch) {
-    StatusOr<Report> report = DecodeReport(body);
-    if (!report.ok()) return ErrorResponse(report.status());
-    reports.push_back(std::move(report).value());
-  } else {
-    if (body.size() < 4) {
-      return ErrorResponse(
-          Status::InvalidArgument("batch frame too short for its count"));
+  if (window != nullptr) {
+    window->seen.insert(sequence);
+    if (!window->any || sequence > window->max_seq) {
+      window->max_seq = sequence;
+      window->any = true;
     }
-    const std::uint32_t count = GetU32LE(body.data());
-    if (count == 0) {
-      return ErrorResponse(Status::InvalidArgument("batch frame is empty"));
-    }
-    // The count is untrusted: every entry takes at least a 4-byte length and
-    // one envelope, so a count the body cannot hold is rejected before it
-    // sizes an allocation.
-    if (count > (body.size() - 4) / (4 + kWireEnvelopeBytes)) {
-      return ErrorResponse(Status::InvalidArgument(
-          "batch count " + std::to_string(count) +
-          " exceeds what a " + std::to_string(body.size()) +
-          "-byte body can hold"));
-    }
-    reports.reserve(count);
-    std::size_t offset = 4;
-    for (std::uint32_t i = 0; i < count; ++i) {
-      if (body.size() - offset < 4) {
-        return ErrorResponse(Status::InvalidArgument(
-            "batch truncated before report " + std::to_string(i)));
-      }
-      const std::uint32_t entry = GetU32LE(body.data() + offset);
-      offset += 4;
-      if (body.size() - offset < entry) {
-        return ErrorResponse(Status::InvalidArgument(
-            "batch report " + std::to_string(i) + " overruns the frame"));
-      }
-      StatusOr<Report> report = DecodeReport(body.subspan(offset, entry));
-      if (!report.ok()) {
-        return ErrorResponse(Status::InvalidArgument(
-            "batch report " + std::to_string(i) + " rejected: " +
-            report.status().message()));
-      }
-      reports.push_back(std::move(report).value());
-      offset += entry;
-    }
-    if (offset != body.size()) {
-      return ErrorResponse(
-          Status::InvalidArgument("batch carries trailing bytes"));
+    if (window->max_seq >= span) {
+      window->seen.erase(window->seen.begin(),
+                         window->seen.lower_bound(window->max_seq - span + 1));
     }
   }
-
-  const std::int64_t num_reports = static_cast<std::int64_t>(reports.size());
-  const auto ingest = [&]() -> Status {
-    if (batch) {
-      return session_->AcceptBatch(shard,
-                                   std::span<const Report>(reports));
-    }
-    return session_->Accept(shard, reports.front());
-  };
-
-  if (client_id != 0 && options_.dedup_window > 0) {
-    return AdmitTagged(client_id, sequence, shard, num_reports, ingest);
-  }
-  // Untagged ingest: no retry protection, but admission control still holds.
-  if (ShedIngest(shard, num_reports)) {
-    Telemetry().shed->Add(num_reports);
-    return ShedResponse(options_.retry_after_ms, shard,
-                        options_.max_unsealed_reports_per_shard);
-  }
-  if (Status accepted = ingest(); !accepted.ok()) {
-    return ErrorResponse(accepted);
-  }
-  shard_backlog_[static_cast<std::size_t>(shard)].fetch_add(
-      num_reports, std::memory_order_relaxed);
   return IngestAck(/*duplicate=*/false);
 }
 
@@ -752,7 +709,7 @@ WireResponse CollectionServer::HandleRequest(
         return ErrorResponse(Status::InvalidArgument(
             "snapshot request payload must be a u32 epoch id"));
       }
-      const std::uint32_t epoch_id = GetU32LE(payload.data());
+      const std::uint32_t epoch_id = GetU32(payload.data());
       if (epoch_id > static_cast<std::uint32_t>(INT32_MAX)) {
         return ErrorResponse(Status::NotFound(
             "epoch " + std::to_string(epoch_id) + " out of range"));
@@ -768,7 +725,7 @@ WireResponse CollectionServer::HandleRequest(
       StatusOr<int> restored = session_->RestoreSealedEpoch(snapshot.value());
       if (!restored.ok()) return ErrorResponse(restored.status());
       WireBytes assigned;
-      PutU32LE(assigned, static_cast<std::uint32_t>(restored.value()));
+      PutU32(assigned, static_cast<std::uint32_t>(restored.value()));
       return OkResponse(std::move(assigned));
     }
     case WireMessageType::kPing:
@@ -915,7 +872,7 @@ StatusOr<WireResponse> CollectionClient::RawRequest(
   if (fd_ < 0) return Status::FailedPrecondition("client is disconnected");
   WireBytes frame;
   frame.reserve(4 + 1 + payload.size());
-  PutU32LE(frame, static_cast<std::uint32_t>(1 + payload.size()));
+  PutU32(frame, static_cast<std::uint32_t>(1 + payload.size()));
   frame.push_back(type);
   frame.insert(frame.end(), payload.begin(), payload.end());
   const auto fail = [this](IoResult result, const char* what) -> Status {
@@ -941,7 +898,7 @@ StatusOr<WireResponse> CollectionClient::RawRequest(
       got != IoResult::kOk) {
     return fail(got, "response read");
   }
-  const std::uint32_t length = GetU32LE(header);
+  const std::uint32_t length = GetU32(header);
   if (length < 2 || length > (64u << 20)) {
     ::close(fd_);
     fd_ = -1;
@@ -1039,8 +996,8 @@ Status CollectionClient::IngestRequest(std::uint8_t type,
 
 Status CollectionClient::Accept(const Report& report) {
   WireBytes body;
-  PutU64LE(body, options_.client_id);
-  PutU64LE(body, next_sequence_++);
+  PutU64(body, options_.client_id);
+  PutU64(body, next_sequence_++);
   const WireBytes encoded = EncodeReport(report);
   body.insert(body.end(), encoded.begin(), encoded.end());
   return IngestRequest(static_cast<std::uint8_t>(WireMessageType::kAccept),
@@ -1052,12 +1009,12 @@ Status CollectionClient::AcceptBatch(std::span<const Report> reports) {
     return Status::InvalidArgument("cannot ship an empty batch");
   }
   WireBytes body;
-  PutU64LE(body, options_.client_id);
-  PutU64LE(body, next_sequence_++);
-  PutU32LE(body, static_cast<std::uint32_t>(reports.size()));
+  PutU64(body, options_.client_id);
+  PutU64(body, next_sequence_++);
+  PutU32(body, static_cast<std::uint32_t>(reports.size()));
   for (const Report& report : reports) {
     const WireBytes encoded = EncodeReport(report);
-    PutU32LE(body, static_cast<std::uint32_t>(encoded.size()));
+    PutU32(body, static_cast<std::uint32_t>(encoded.size()));
     body.insert(body.end(), encoded.begin(), encoded.end());
   }
   return IngestRequest(
@@ -1090,7 +1047,7 @@ StatusOr<WorkloadEstimate> CollectionClient::Estimate(EstimatorKind kind) {
 
 StatusOr<EpochSnapshot> CollectionClient::GetSnapshot(int epoch_id) {
   WireBytes payload;
-  PutU32LE(payload, static_cast<std::uint32_t>(epoch_id));
+  PutU32(payload, static_cast<std::uint32_t>(epoch_id));
   StatusOr<WireResponse> response = RetryingRequest(
       static_cast<std::uint8_t>(WireMessageType::kGetSnapshot), payload);
   if (!response.ok()) return response.status();
@@ -1113,7 +1070,7 @@ StatusOr<int> CollectionClient::PushSnapshot(const EpochSnapshot& snapshot) {
   if (response.value().payload.size() != 4) {
     return Status::Internal("push-snapshot response payload malformed");
   }
-  return static_cast<int>(GetU32LE(response.value().payload.data()));
+  return static_cast<int>(GetU32(response.value().payload.data()));
 }
 
 StatusOr<std::string> CollectionClient::Metrics(MetricsFormat format) {

@@ -6,7 +6,8 @@
 // One CollectionServer owns one PlanSession. Every frame a client sends maps
 // onto the session surface it already has:
 //
-//   kAccept        -> PlanSession::Accept        (ingest one wire report)
+//   kAccept        -> PlanSession::AcceptBatch   (ingest one wire report, a
+//                                                 batch of one)
 //   kSeal          -> PlanSession::Seal          (freeze the epoch; returns
 //                                                 the sealed snapshot)
 //   kEstimate      -> PlanSession::Estimate      (serve the latest estimate)
@@ -53,7 +54,7 @@
 // untrusted: malformed frames and payloads are answered with 400 and the
 // connection stays up — a bad client cannot crash collection or poison an
 // aggregate (wire decode rejects structural defects, then
-// PlanSession::Accept rejects semantic ones). An oversized frame (length
+// PlanSession::AcceptBatch rejects semantic ones). An oversized frame (length
 // prefix past ServiceOptions::max_frame_bytes) is drained and answered 400,
 // keeping the connection usable.
 //
@@ -104,7 +105,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -278,13 +278,11 @@ class CollectionServer {
   void ServeConnection(int fd, int connection_id);
   WireResponse HandleRequest(std::uint8_t type,
                              std::span<const std::uint8_t> payload, int shard);
+  /// kAccept and kAcceptBatch alike: decode the frame's reports, then admit
+  /// them in one order — dedup window (tagged frames only), shed check,
+  /// PlanSession::AcceptBatch, backlog update.
   WireResponse HandleIngest(std::span<const std::uint8_t> payload, int shard,
                             bool batch);
-  /// Admission + ingest under the client's dedup lock; `ingest` runs only
-  /// for fresh (client_id, sequence) pairs.
-  WireResponse AdmitTagged(std::uint64_t client_id, std::uint64_t sequence,
-                           int shard, std::int64_t num_reports,
-                           const std::function<Status()>& ingest);
   bool ShedIngest(int shard, std::int64_t num_reports) const;
 
   std::unique_ptr<PlanSession> session_;

@@ -8,6 +8,7 @@
 
 #include "common/check.h"
 #include "core/strategy.h"
+#include "wire/byte_order.h"
 
 namespace wfm {
 namespace {
@@ -31,34 +32,8 @@ constexpr std::uint8_t kSnapshotKindVersioned = 1;
 
 // ---- little-endian primitives ---------------------------------------------
 
-void PutU32(WireBytes& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void PutU64(WireBytes& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
 void PutF64(WireBytes& out, double v) {
   PutU64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-std::uint32_t GetU32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-std::uint64_t GetU64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = v << 8 | p[i];
-  return v;
 }
 
 double GetF64(const std::uint8_t* p) {

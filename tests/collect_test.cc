@@ -16,6 +16,7 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -28,6 +29,7 @@
 #include "ldp/reporter.h"
 #include "linalg/rng.h"
 #include "mechanisms/randomized_response.h"
+#include "obs/metrics.h"
 #include "workload/histogram.h"
 #include "workload/prefix.h"
 
@@ -69,6 +71,12 @@ Report BitsReport(std::vector<std::uint8_t> bits) {
   return r;
 }
 
+// A single report is a batch of one at every layer.
+template <typename Sink>
+void AcceptOne(Sink& sink, int shard, const Report& report) {
+  sink.AcceptBatch(shard, std::span<const Report>(&report, 1));
+}
+
 std::unique_ptr<CollectionSession> MakeSession(int n, int num_shards) {
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 1.0);
   auto workload = std::make_shared<const HistogramWorkload>(n);
@@ -83,12 +91,16 @@ std::unique_ptr<CollectionSession> MakeSession(int n, int num_shards) {
 // helper threads are alive).
 TEST(CollectDeathTest, RejectsOutOfRangeResponses) {
   ShardedAggregator agg(/*num_outputs=*/3, /*num_shards=*/2);
-  EXPECT_DEATH(agg.Add(0, 3), "response out of range");
-  EXPECT_DEATH(agg.Add(1, -1), "response out of range");
+  EXPECT_DEATH(agg.AcceptBatch(0, std::vector<int>{3}),
+               "response out of range");
+  EXPECT_DEATH(agg.AcceptBatch(1, std::vector<int>{-1}),
+               "response out of range");
+  EXPECT_DEATH(AcceptOne(agg, 0, IndexReport(3)), "response out of range");
+  EXPECT_DEATH(AcceptOne(agg, 1, IndexReport(-1)), "response out of range");
   const std::vector<int> batch{0, 1, 3};
-  EXPECT_DEATH(agg.AddBatch(0, batch), "response out of range");
+  EXPECT_DEATH(agg.AcceptBatch(0, batch), "response out of range");
   const std::vector<int> negative{2, -1};
-  EXPECT_DEATH(agg.AddBatch(1, negative), "response out of range");
+  EXPECT_DEATH(agg.AcceptBatch(1, negative), "response out of range");
 }
 
 TEST(CollectDeathTest, RejectsRaggedBitVectorBatches) {
@@ -100,23 +112,39 @@ TEST(CollectDeathTest, RejectsRaggedBitVectorBatches) {
       BitsReport(std::vector<std::uint8_t>(m, 0)),
       BitsReport(std::vector<std::uint8_t>(m + 1, 0))};
   EXPECT_DEATH(bad.AcceptBatch(0, ragged), "WFM_CHECK");
+
+  // Same for a dense batch, and for either kind's batch of one.
+  ShardedAggregator dense(m, /*num_shards=*/1, ReportKind::kDense);
+  const std::vector<Report> ragged_dense{DenseReport(Vector(m, 0.0)),
+                                         DenseReport(Vector(m - 1, 0.0))};
+  EXPECT_DEATH(dense.AcceptBatch(0, ragged_dense), "WFM_CHECK");
+  EXPECT_DEATH(AcceptOne(dense, 0, DenseReport(Vector(m + 1, 0.0))),
+               "WFM_CHECK");
+  EXPECT_DEATH(AcceptOne(bad, 0, BitsReport(std::vector<std::uint8_t>(1, 0))),
+               "WFM_CHECK");
 }
 
 TEST(CollectDeathTest, RejectsBadShardIds) {
   ShardedAggregator agg(/*num_outputs=*/3, /*num_shards=*/2);
-  EXPECT_DEATH(agg.Add(2, 0), "shard id out of range");
-  EXPECT_DEATH(agg.Add(-1, 0), "shard id out of range");
+  EXPECT_DEATH(agg.AcceptBatch(2, std::vector<int>{0}),
+               "shard id out of range");
+  EXPECT_DEATH(agg.AcceptBatch(-1, std::vector<int>{0}),
+               "shard id out of range");
+  EXPECT_DEATH(AcceptOne(agg, 2, IndexReport(0)), "shard id out of range");
+  EXPECT_DEATH(agg.AcceptBatch(-1, std::vector<Report>{}),
+               "shard id out of range");
 }
 
 TEST(CollectDeathTest, RejectsReportKindMismatches) {
   ShardedAggregator categorical(/*num_outputs=*/3, /*num_shards=*/1);
-  EXPECT_DEATH(categorical.Accept(0, DenseReport({1.0, 0.0, -0.5})),
+  EXPECT_DEATH(AcceptOne(categorical, 0, DenseReport({1.0, 0.0, -0.5})),
                "categorical");
 
   ShardedAggregator dense(/*num_outputs=*/3, /*num_shards=*/1,
                           ReportKind::kDense);
-  EXPECT_DEATH(dense.Add(0, 1), "dense");
-  EXPECT_DEATH(dense.Accept(0, DenseReport({1.0})), "WFM_CHECK");
+  EXPECT_DEATH(dense.AcceptBatch(0, std::vector<int>{1}), "dense");
+  EXPECT_DEATH(AcceptOne(dense, 0, IndexReport(1)), "dense");
+  EXPECT_DEATH(AcceptOne(dense, 0, DenseReport({1.0})), "WFM_CHECK");
 }
 
 TEST(EstimateServerTest, ServingRequiresASealedEpoch) {
@@ -144,7 +172,7 @@ TEST(ShardedAggregatorTest, MergeMatchesSerialAggregation) {
   std::size_t batch = 1;
   while (pos < reports.size()) {
     const std::size_t len = std::min(batch, reports.size() - pos);
-    sharded.AddBatch(shard, std::span<const int>(&reports[pos], len));
+    sharded.AcceptBatch(shard, std::span<const int>(&reports[pos], len));
     pos += len;
     shard = (shard + 1) % sharded.num_shards();
     batch = batch % 997 + 13;
@@ -170,7 +198,7 @@ TEST(ShardedAggregatorTest, ConcurrentMergeIsExactAndDeterministic) {
         const std::size_t end = reports.size() * (t + 1) / kIngestThreads;
         for (std::size_t pos = begin; pos < end; pos += 1024) {
           const std::size_t len = std::min<std::size_t>(1024, end - pos);
-          sharded.AddBatch(t, std::span<const int>(&reports[pos], len));
+          sharded.AcceptBatch(t, std::span<const int>(&reports[pos], len));
         }
       });
     }
@@ -192,7 +220,8 @@ TEST(ShardedAggregatorTest, ManyThreadsMayShareOneShard) {
     threads.emplace_back([&, t] {
       const std::size_t begin = reports.size() * t / kIngestThreads;
       const std::size_t end = reports.size() * (t + 1) / kIngestThreads;
-      sharded.AddBatch(0, std::span<const int>(&reports[begin], end - begin));
+      sharded.AcceptBatch(0,
+                          std::span<const int>(&reports[begin], end - begin));
     });
   }
   for (std::thread& t : threads) t.join();
@@ -202,9 +231,9 @@ TEST(ShardedAggregatorTest, ManyThreadsMayShareOneShard) {
 TEST(ShardedAggregatorTest, DenseMergeSumsReportsCoordinatewise) {
   ShardedAggregator agg(/*num_outputs=*/3, /*num_shards=*/2,
                         ReportKind::kDense);
-  agg.Accept(0, DenseReport({1.0, -2.0, 0.5}));
-  agg.Accept(1, DenseReport({0.25, 1.0, -0.5}));
-  agg.Accept(0, DenseReport({0.0, 1.0, 3.0}));
+  AcceptOne(agg, 0, DenseReport({1.0, -2.0, 0.5}));
+  AcceptOne(agg, 1, DenseReport({0.25, 1.0, -0.5}));
+  AcceptOne(agg, 0, DenseReport({0.0, 1.0, 3.0}));
   EXPECT_EQ(agg.Merge(), (Vector{1.25, 0.0, 3.0}));
   EXPECT_EQ(agg.num_responses(), 3);
 }
@@ -234,7 +263,8 @@ TEST(ShardedAggregatorTest, ConcurrentDenseMergeIsExactForIntegerReports) {
     threads.emplace_back([&, t] {
       // Mix shard ids so shards are genuinely contended.
       for (std::size_t i = 0; i < streams[t].size(); ++i) {
-        agg.Accept(static_cast<int>((t + i) % kIngestThreads), streams[t][i]);
+        AcceptOne(agg, static_cast<int>((t + i) % kIngestThreads),
+                  streams[t][i]);
       }
     });
   }
@@ -265,7 +295,7 @@ TEST(CollectionSessionTest, SealUnderConcurrentIngestionConservesReports) {
       const std::vector<int>& stream = streams[t];
       for (std::size_t pos = 0; pos < stream.size(); pos += 512) {
         const std::size_t len = std::min<std::size_t>(512, stream.size() - pos);
-        session->Accept(t, std::span<const int>(&stream[pos], len));
+        session->AcceptBatch(t, std::span<const int>(&stream[pos], len));
       }
       threads_done.fetch_add(1);
     });
@@ -311,7 +341,7 @@ TEST(CollectionSessionTest, WindowTotalSumsTheLastKEpochs) {
 
   // Epoch e ingests exactly e+1 reports of type e (m = n for RR).
   for (int e = 0; e < 3; ++e) {
-    for (int j = 0; j <= e; ++j) session->Accept(j % 2, IndexReport(e));
+    for (int j = 0; j <= e; ++j) AcceptOne(*session, j % 2, IndexReport(e));
     const EpochSnapshot sealed = session->Seal();
     EXPECT_EQ(sealed.epoch_id, e);
     EXPECT_EQ(sealed.count, e + 1);
@@ -366,7 +396,7 @@ TEST(EstimateServerTest, ServesTheSameAnswersAsTheOfflinePipeline) {
   CollectionSession session(decoder, workload, /*num_shards=*/2);
 
   const std::vector<int> reports = MakeReports(n, 20000, /*seed=*/77);
-  session.Accept(0, std::span<const int>(reports.data(), reports.size()));
+  session.AcceptBatch(0, std::span<const int>(reports.data(), reports.size()));
   session.Seal();
 
   EstimateServer server(&session);
@@ -385,7 +415,7 @@ TEST(EstimateServerTest, CachesPerEpochAndInvalidatesOnSeal) {
   auto session = MakeSession(/*n=*/6, /*num_shards=*/2);
   const int m = session->num_outputs();
   const std::vector<int> first = MakeReports(m, 5000, /*seed=*/51);
-  session->Accept(0, std::span<const int>(first.data(), first.size()));
+  session->AcceptBatch(0, std::span<const int>(first.data(), first.size()));
   session->Seal();
 
   EstimateServer server(session.get());
@@ -403,7 +433,7 @@ TEST(EstimateServerTest, CachesPerEpochAndInvalidatesOnSeal) {
 
   // Sealing a new epoch invalidates everything cached for the old one.
   const std::vector<int> second = MakeReports(m, 5000, /*seed=*/52);
-  session->Accept(1, std::span<const int>(second.data(), second.size()));
+  session->AcceptBatch(1, std::span<const int>(second.data(), second.size()));
   session->Seal();
   const WorkloadEstimate c = server.Serve(EstimatorKind::kUnbiased).value();
   EXPECT_EQ(server.num_solves(), 4) << "stale cache served after a new seal";
@@ -421,7 +451,7 @@ TEST(EstimateServerTest, ConcurrentServesAreConsistent) {
   auto session = MakeSession(/*n=*/6, /*num_shards=*/2);
   const int m = session->num_outputs();
   const std::vector<int> reports = MakeReports(m, 10000, /*seed=*/53);
-  session->Accept(0, std::span<const int>(reports.data(), reports.size()));
+  session->AcceptBatch(0, std::span<const int>(reports.data(), reports.size()));
   session->Seal();
 
   EstimateServer server(session.get());
@@ -447,24 +477,30 @@ TEST(EstimateServerTest, ConcurrentServesAreConsistent) {
 TEST(CollectDeathTest, RejectsBitVectorKindMismatchesAndCorruptBits) {
   ShardedAggregator bits(/*num_outputs=*/3, /*num_shards=*/1,
                          ReportKind::kBitVector);
-  EXPECT_DEATH(bits.Add(0, 1), "bit-vector");
-  EXPECT_DEATH(bits.Accept(0, DenseReport({1.0, 0.0, 0.5})), "bit-vector");
+  EXPECT_DEATH(bits.AcceptBatch(0, std::vector<int>{1}), "bit-vector");
+  EXPECT_DEATH(AcceptOne(bits, 0, IndexReport(1)), "bit-vector");
+  EXPECT_DEATH(AcceptOne(bits, 0, DenseReport({1.0, 0.0, 0.5})),
+               "bit-vector");
 
   ShardedAggregator categorical(/*num_outputs=*/3, /*num_shards=*/1);
-  EXPECT_DEATH(categorical.Accept(0, BitsReport({1, 0, 1})), "categorical");
+  EXPECT_DEATH(AcceptOne(categorical, 0, BitsReport({1, 0, 1})),
+               "categorical");
 
-  EXPECT_DEATH(bits.Accept(0, BitsReport({1, 0})), "WFM_CHECK");
+  EXPECT_DEATH(AcceptOne(bits, 0, BitsReport({1, 0})), "WFM_CHECK");
   // Entries beyond {0, 1} indicate a corrupt stream, validated before they
   // can skew the per-coordinate counts.
-  EXPECT_DEATH(bits.Accept(0, BitsReport({1, 2, 0})), "out of range");
+  EXPECT_DEATH(AcceptOne(bits, 0, BitsReport({1, 2, 0})), "out of range");
+  const std::vector<Report> corrupt{BitsReport({1, 0, 1}),
+                                    BitsReport({0, 3, 0})};
+  EXPECT_DEATH(bits.AcceptBatch(0, corrupt), "out of range");
 }
 
 TEST(ShardedAggregatorTest, BitVectorMergeCountsSetBitsPerCoordinate) {
   ShardedAggregator agg(/*num_outputs=*/4, /*num_shards=*/2,
                         ReportKind::kBitVector);
-  agg.Accept(0, BitsReport({1, 0, 1, 0}));
-  agg.Accept(1, BitsReport({1, 1, 0, 0}));
-  agg.Accept(0, BitsReport({0, 0, 0, 1}));
+  AcceptOne(agg, 0, BitsReport({1, 0, 1, 0}));
+  AcceptOne(agg, 1, BitsReport({1, 1, 0, 0}));
+  AcceptOne(agg, 0, BitsReport({0, 0, 0, 1}));
   EXPECT_EQ(agg.Merge(), (Vector{2, 1, 1, 1}));
   // One report = one response, no matter how many bits it sets: the total is
   // the N that the affine debias divides against.
@@ -513,7 +549,9 @@ TEST(CollectionSessionTest, BitVectorEpochCountAccountingUnderConcurrentSeals) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kIngestThreads; ++t) {
     threads.emplace_back([&, t] {
-      for (const auto& bits : streams[t]) session.Accept(t, BitsReport(bits));
+      for (const auto& bits : streams[t]) {
+        AcceptOne(session, t, BitsReport(bits));
+      }
       threads_done.fetch_add(1);
     });
   }
@@ -564,16 +602,16 @@ TEST(EstimateServerTest, AffineDecodeUsesPerEpochReportCounts) {
   };
 
   // Epoch 0: 3 reports.
-  session.Accept(0, BitsReport({1, 0, 1, 0}));
-  session.Accept(0, BitsReport({0, 1, 0, 0}));
-  session.Accept(0, BitsReport({1, 1, 1, 1}));
+  AcceptOne(session, 0, BitsReport({1, 0, 1, 0}));
+  AcceptOne(session, 0, BitsReport({0, 1, 0, 0}));
+  AcceptOne(session, 0, BitsReport({1, 1, 1, 1}));
   const EpochSnapshot first = session.Seal();
   ASSERT_EQ(first.count, 3);
   EXPECT_EQ(server.Serve(EstimatorKind::kUnbiased).value().data_vector,
             debias(first.histogram, first.count));
 
   // Epoch 1: 1 report. Serving window 1 must use N = 1, window 2 N = 4.
-  session.Accept(0, BitsReport({0, 0, 1, 1}));
+  AcceptOne(session, 0, BitsReport({0, 0, 1, 1}));
   const EpochSnapshot second = session.Seal();
   ASSERT_EQ(second.count, 1);
   EXPECT_EQ(server.Serve(EstimatorKind::kUnbiased).value().data_vector,
@@ -612,7 +650,8 @@ TEST(ResponseParityTest, ShardedSessionMatchesSerialReferenceEndToEnd) {
     threads.emplace_back([&, t] {
       const std::size_t begin = reports.size() * t / kIngestThreads;
       const std::size_t end = reports.size() * (t + 1) / kIngestThreads;
-      session.Accept(t, std::span<const int>(&reports[begin], end - begin));
+      session.AcceptBatch(t,
+                          std::span<const int>(&reports[begin], end - begin));
     });
   }
   for (std::thread& t : threads) t.join();
@@ -624,57 +663,62 @@ TEST(ResponseParityTest, ShardedSessionMatchesSerialReferenceEndToEnd) {
 
 // ---- unified kind-dispatched ingest ---------------------------------------
 
-TEST(UnifiedIngestTest, AcceptDispatchesEveryReportKind) {
-  // One entry point, three shapes: Accept(shard, Report) must land each kind
-  // exactly where the per-kind methods would.
-  ShardedAggregator categorical(/*num_outputs=*/3, /*num_shards=*/1);
-  Report c;
-  c.index = 2;
-  categorical.Accept(0, c);
-  EXPECT_EQ(categorical.Merge(), (Vector{0, 0, 1}));
-
-  ShardedAggregator dense(/*num_outputs=*/3, /*num_shards=*/1,
-                          ReportKind::kDense);
-  Report d;
-  d.dense = {0.5, -1.0, 2.0};
-  dense.Accept(0, d);
-  EXPECT_EQ(dense.Merge(), (Vector{0.5, -1.0, 2.0}));
-
-  ShardedAggregator bits(/*num_outputs=*/3, /*num_shards=*/1,
-                         ReportKind::kBitVector);
-  Report b;
-  b.bits = {1, 0, 1};
-  bits.Accept(0, b);
-  EXPECT_EQ(bits.Merge(), (Vector{1, 0, 1}));
-  EXPECT_EQ(bits.num_responses(), 1);
-}
-
-TEST(UnifiedIngestTest, AcceptBatchMatchesPerReportAcceptForEveryKind) {
+TEST(UnifiedIngestTest, AcceptBatchLandsExactCountsForEveryKindAndSize) {
+  // Every kind, at batch sizes on both sides of each kind's direct/scratch
+  // choice (bit-vector and dense: one report vs more; categorical: k < 16 or
+  // m > 4k vs the rest), must land exactly the integer counts kept here.
+  // Dense entries are small integers, so their sums are exact too.
+  Counter& reports_metric =
+      MetricsRegistry::Global().GetCounter("wfm_ingest_reports_total");
+  Counter& batches_metric =
+      MetricsRegistry::Global().GetCounter("wfm_ingest_batches_total");
   Rng rng(81);
   for (const ReportKind kind :
        {ReportKind::kCategorical, ReportKind::kDense, ReportKind::kBitVector}) {
-    const int m = 6;
-    std::vector<Report> reports(500);
-    for (Report& r : reports) {
-      if (kind == ReportKind::kCategorical) {
-        r.index = rng.UniformInt(m);
-      } else if (kind == ReportKind::kDense) {
-        r.dense.resize(m);
-        for (double& v : r.dense) v = rng.UniformInt(10);
-      } else {
-        r.bits.resize(m);
-        for (std::uint8_t& bit : r.bits) {
-          bit = static_cast<std::uint8_t>(rng.UniformInt(2));
+    for (const int m : {6, 4096}) {
+      for (const int k : {1, 2, 15, 16, 17, 500}) {
+        SCOPED_TRACE(std::string(KindName(kind)) + " m=" + std::to_string(m) +
+                     " k=" + std::to_string(k));
+        std::vector<Report> reports(k);
+        std::vector<int> indices(k);
+        std::vector<std::int64_t> expected(m, 0);
+        for (int i = 0; i < k; ++i) {
+          Report& r = reports[i];
+          if (kind == ReportKind::kCategorical) {
+            r.index = indices[i] = rng.UniformInt(m);
+            ++expected[r.index];
+          } else if (kind == ReportKind::kDense) {
+            r.dense.resize(m);
+            for (int o = 0; o < m; ++o) {
+              const int v = rng.UniformInt(10);
+              r.dense[o] = v;
+              expected[o] += v;
+            }
+          } else {
+            r.bits.resize(m);
+            for (int o = 0; o < m; ++o) {
+              r.bits[o] = static_cast<std::uint8_t>(rng.UniformInt(2));
+              expected[o] += r.bits[o];
+            }
+          }
+        }
+        const Vector want(expected.begin(), expected.end());
+        const std::int64_t reports_before = reports_metric.value();
+        const std::int64_t batches_before = batches_metric.value();
+        ShardedAggregator agg(m, /*num_shards=*/2, kind);
+        agg.AcceptBatch(1, reports);
+        EXPECT_EQ(agg.Merge(), want);
+        EXPECT_EQ(agg.num_responses(), k);
+        EXPECT_EQ(reports_metric.value() - reports_before, k);
+        EXPECT_EQ(batches_metric.value() - batches_before, 1);
+        if (kind == ReportKind::kCategorical) {
+          ShardedAggregator stream(m, /*num_shards=*/2);
+          stream.AcceptBatch(0, indices);
+          EXPECT_EQ(stream.Merge(), want);
+          EXPECT_EQ(stream.num_responses(), k);
         }
       }
     }
-    ShardedAggregator one_by_one(m, /*num_shards=*/2, kind);
-    for (const Report& r : reports) one_by_one.Accept(0, r);
-    ShardedAggregator batched(m, /*num_shards=*/2, kind);
-    batched.AcceptBatch(1, reports);
-    EXPECT_EQ(batched.Merge(), one_by_one.Merge())
-        << "kind " << KindName(kind);
-    EXPECT_EQ(batched.num_responses(), one_by_one.num_responses());
   }
 }
 
@@ -724,7 +768,7 @@ TEST(SnapshotRestoreTest, TrySnapshotIsNotFoundUntilSealed) {
   const auto missing = session->TrySnapshot(0);
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
-  session->Accept(0, IndexReport(1));
+  AcceptOne(*session, 0, IndexReport(1));
   session->Seal();
   const auto found = session->TrySnapshot(0);
   ASSERT_TRUE(found.ok());
@@ -735,11 +779,11 @@ TEST(SnapshotRestoreTest, TrySnapshotIsNotFoundUntilSealed) {
 
 TEST(SnapshotRestoreTest, RestoredEpochsCountLikeLocallySealedOnes) {
   auto source = MakeSession(/*n=*/4, /*num_shards=*/1);
-  source->Accept(0, std::vector<int>{0, 1, 1, 2});
+  source->AcceptBatch(0, std::vector<int>{0, 1, 1, 2});
   const EpochSnapshot sealed = source->Seal();
 
   auto target = MakeSession(/*n=*/4, /*num_shards=*/1);
-  target->Accept(0, IndexReport(3));
+  AcceptOne(*target, 0, IndexReport(3));
   target->Seal();
   const StatusOr<int> restored = target->RestoreSealedEpoch(sealed);
   ASSERT_TRUE(restored.ok());

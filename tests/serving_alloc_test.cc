@@ -176,20 +176,20 @@ TEST(ServingAllocTest, CategoricalBatchBytesDoNotDependOnM) {
       reports[i].index = responses[i];
     }
     aggregator.AcceptBatch(0, reports);  // Warm-up (metric registration).
-    aggregator.AddBatch(0, responses);
+    aggregator.AcceptBatch(0, responses);
     const std::size_t accept = Allocated([&] {
       aggregator.AcceptBatch(0, reports);
     }).second;
     const std::size_t add = Allocated([&] {
-      aggregator.AddBatch(0, responses);
+      aggregator.AcceptBatch(0, responses);
     }).second;
     EXPECT_EQ(aggregator.num_responses(), 4 * k);
     return std::pair<std::size_t, std::size_t>(accept, add);
   };
   const auto medium = batch_bytes(1 << 12);
   const auto large = batch_bytes(1 << 20);
-  EXPECT_EQ(medium.first, large.first) << "AcceptBatch";
-  EXPECT_EQ(medium.second, large.second) << "AddBatch";
+  EXPECT_EQ(medium.first, large.first) << "AcceptBatch(Reports)";
+  EXPECT_EQ(medium.second, large.second) << "AcceptBatch(ints)";
   EXPECT_LT(large.first, sizeof(std::int64_t) * k);
   EXPECT_LT(large.second, sizeof(std::int64_t) * k);
 #endif

@@ -398,7 +398,7 @@ TEST(MergeSnapshotsTest, MergeOfShardedEpochsMatchesSingleStreamExactly) {
   for (int& r : stream) r = rng.UniformInt(n);
 
   auto single = MakeSession(n, /*num_shards=*/2);
-  single->Accept(0, std::span<const int>(stream.data(), stream.size()));
+  single->AcceptBatch(0, std::span<const int>(stream.data(), stream.size()));
   const EpochSnapshot reference = single->Seal();
 
   std::vector<EpochSnapshot> parts;
@@ -408,7 +408,7 @@ TEST(MergeSnapshotsTest, MergeOfShardedEpochsMatchesSingleStreamExactly) {
     const std::size_t begin = node * per_node;
     const std::size_t len =
         node == 2 ? stream.size() - begin : per_node;
-    session->Accept(0, std::span<const int>(stream.data() + begin, len));
+    session->AcceptBatch(0, std::span<const int>(stream.data() + begin, len));
     // Ship each node's snapshot through the wire encoding, as the service
     // endpoints would.
     const StatusOr<EpochSnapshot> shipped =
@@ -453,7 +453,7 @@ TEST(SnapshotStoreTest, KillAndRecoverServesIdenticalEstimates) {
     for (int epoch = 0; epoch < 3; ++epoch) {
       std::vector<int> reports(4000);
       for (int& r : reports) r = rng.UniformInt(n);
-      session->Accept(0, std::span<const int>(reports.data(), reports.size()));
+      session->AcceptBatch(0, reports);
       ASSERT_TRUE(store.Append(session->Seal()).ok());
     }
     EstimateServer server(session.get());

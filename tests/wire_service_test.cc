@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -61,8 +62,19 @@ ServiceOptions EphemeralOptions() {
 // Wraps a raw ingest body in the untagged (client_id = 0) idempotency
 // prefix, so hand-crafted frames still reach the report decode path.
 WireBytes Untagged(const WireBytes& body) {
-  WireBytes framed(16, 0);
-  framed.insert(framed.end(), body.begin(), body.end());
+  WireBytes framed(16 + body.size(), 0);
+  std::copy(body.begin(), body.end(), framed.begin() + 16);
+  return framed;
+}
+
+// Wraps a raw ingest body in a (client_id, sequence) idempotency tag.
+WireBytes Tagged(std::uint64_t client_id, std::uint64_t sequence,
+                 const WireBytes& body) {
+  WireBytes framed = Untagged(body);
+  for (int i = 0; i < 8; ++i) {
+    framed[i] = static_cast<std::uint8_t>(client_id >> (8 * i));
+    framed[8 + i] = static_cast<std::uint8_t>(sequence >> (8 * i));
+  }
   return framed;
 }
 
@@ -239,6 +251,46 @@ TEST(WireServiceTest, BatchCountPastTheBodyGets400AndTheServerSurvives) {
   ASSERT_TRUE(sealed.ok());
   EXPECT_EQ(sealed.value().count, 0);
   server.Stop();
+}
+
+TEST(WireServiceTest, SingleReportFrameIngestsLikeAOneReportBatch) {
+  // kAccept is a one-report batch on the server: the same report sent either
+  // way seals the same snapshot, and re-sending a tag of either frame type
+  // is acknowledged as a duplicate (ack byte 1) without counting twice.
+  const Plan plan = MakePlan(8);
+  Rng rng(61);
+  const WireBytes report = EncodeReport(plan.Client().Respond(5, rng));
+  WireBytes batch_body = {1, 0, 0, 0};  // u32 count = 1.
+  for (int shift = 0; shift < 32; shift += 8) {
+    batch_body.push_back(static_cast<std::uint8_t>(report.size() >> shift));
+  }
+  batch_body.insert(batch_body.end(), report.begin(), report.end());
+
+  std::vector<EpochSnapshot> sealed;
+  for (const WireMessageType type :
+       {WireMessageType::kAccept, WireMessageType::kAcceptBatch}) {
+    CollectionServer server(plan, EphemeralOptions());
+    ASSERT_TRUE(server.Start().ok());
+    StatusOr<CollectionClient> client =
+        CollectionClient::Connect(server.port());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    const WireBytes frame =
+        Tagged(/*client_id=*/77, /*sequence=*/1,
+               type == WireMessageType::kAccept ? report : batch_body);
+    for (const std::uint8_t duplicate : {0, 1}) {
+      const StatusOr<WireResponse> ack =
+          client.value().RawRequest(static_cast<std::uint8_t>(type), frame);
+      ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+      EXPECT_EQ(ack.value().status, kWireStatusOk);
+      EXPECT_EQ(ack.value().payload, WireBytes{duplicate});
+    }
+    const StatusOr<EpochSnapshot> snapshot = client.value().Seal();
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    EXPECT_EQ(snapshot.value().count, 1);
+    sealed.push_back(snapshot.value());
+    server.Stop();
+  }
+  EXPECT_EQ(sealed[0], sealed[1]);
 }
 
 TEST(WireServiceTest, EstimateBeforeAnySealIs409) {
