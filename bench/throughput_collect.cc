@@ -19,8 +19,10 @@
 // one-report AcceptBatch per report (direct adds, one atomic per set bit)
 // against the batched AcceptBatch scratch-count path (the whole batch folds
 // into private integers, then one atomic add per touched counter) — what
-// the wire service runs for a kAcceptBatch frame of packed reports. Disable
-// with --bits=false.
+// the wire service runs for a kAcceptBatch frame of packed reports. Each
+// timed trial of either path streams the same kMinBitsTrialReports at least
+// (the report set, pass after pass), so small --reports values still time
+// ingest rather than thread start-up. Disable with --bits=false.
 //
 // --out=path (default BENCH_throughput.json) writes every best-of-trials
 // rate as {"scenario", "reports_per_sec", "threads"} so CI can keep a
@@ -47,6 +49,10 @@
 #include "workload/histogram.h"
 
 namespace {
+
+// Least number of reports one timed bit-vector trial streams: about 10 ms on
+// the batched path, 100 ms on the per-report path.
+constexpr int kMinBitsTrialReports = 1000000;
 
 // One timed trial: T threads stream disjoint slices of `reports` into a
 // fresh session, then the epoch is sealed and one estimate is served.
@@ -90,9 +96,9 @@ double RunTrial(std::shared_ptr<const wfm::ReportDecoder> decoder,
 // One timed bit-vector trial: T threads stream disjoint slices of
 // pre-built bit-vector Reports (built outside the timed region) into a fresh
 // aggregator, one AcceptBatch per report (a batch of one) or one per
-// `batch` reports. Returns reports/sec.
+// `batch` reports, each slice `passes` times over. Returns reports/sec.
 double RunBitsTrial(const std::vector<wfm::Report>& reports, int m,
-                    int threads, int batch, bool batched) {
+                    int threads, int batch, int passes, bool batched) {
   const int total_reports = static_cast<int>(reports.size());
   wfm::ShardedAggregator agg(m, threads, wfm::ReportKind::kBitVector);
   std::vector<std::thread> workers;
@@ -102,13 +108,15 @@ double RunBitsTrial(const std::vector<wfm::Report>& reports, int m,
     workers.emplace_back([&, t] {
       const int begin = total_reports * t / threads;
       const int end = total_reports * (t + 1) / threads;
-      for (int pos = begin; pos < end; pos += batch) {
-        const int k = std::min(batch, end - pos);
-        if (batched) {
-          agg.AcceptBatch(t, std::span<const wfm::Report>(&reports[pos], k));
-        } else {
-          for (int i = pos; i < pos + k; ++i) {
-            agg.AcceptBatch(t, std::span<const wfm::Report>(&reports[i], 1));
+      for (int pass = 0; pass < passes; ++pass) {
+        for (int pos = begin; pos < end; pos += batch) {
+          const int k = std::min(batch, end - pos);
+          if (batched) {
+            agg.AcceptBatch(t, std::span<const wfm::Report>(&reports[pos], k));
+          } else {
+            for (int i = pos; i < pos + k; ++i) {
+              agg.AcceptBatch(t, std::span<const wfm::Report>(&reports[i], 1));
+            }
           }
         }
       }
@@ -116,9 +124,10 @@ double RunBitsTrial(const std::vector<wfm::Report>& reports, int m,
   }
   for (std::thread& w : workers) w.join();
   const double seconds = timer.ElapsedSeconds();
-  WFM_CHECK_EQ(agg.num_responses(),
-               static_cast<std::int64_t>(total_reports));
-  return total_reports / seconds;
+  const std::int64_t streamed =
+      static_cast<std::int64_t>(total_reports) * passes;
+  WFM_CHECK_EQ(agg.num_responses(), streamed);
+  return static_cast<double>(streamed) / seconds;
 }
 
 // One trajectory point for the --out JSON file.
@@ -225,12 +234,14 @@ int main(int argc, char** argv) {
     // Bit-vector ingest: one-report batches vs the batched scratch-count
     // path, at the same report volume over an m = n unary encoding.
     const int bit_reports = std::max(1, num_reports / 8);
+    const int passes =
+        (kMinBitsTrialReports + bit_reports - 1) / bit_reports;
     wfm::bench::PrintHeader(
         "Bit-vector ingest: one-report vs batched AcceptBatch",
         "one atomic per set bit vs one atomic per touched counter per batch",
         "m = " + std::to_string(n) + ", " + std::to_string(bit_reports) +
-            " reports, batch " + std::to_string(batch) + ", best of " +
-            std::to_string(trials));
+            " reports x " + std::to_string(passes) + " passes, batch " +
+            std::to_string(batch) + ", best of " + std::to_string(trials));
     std::vector<wfm::Report> bit_report_objects(bit_reports);
     for (wfm::Report& report : bit_report_objects) {
       report.bits.resize(n);
@@ -245,9 +256,10 @@ int main(int argc, char** argv) {
       for (int trial = 0; trial < trials; ++trial) {
         per_report = std::max(
             per_report,
-            RunBitsTrial(bit_report_objects, n, threads, batch, false));
-        batched = std::max(
-            batched, RunBitsTrial(bit_report_objects, n, threads, batch, true));
+            RunBitsTrial(bit_report_objects, n, threads, batch, passes,
+                         false));
+        batched = std::max(batched, RunBitsTrial(bit_report_objects, n,
+                                                 threads, batch, passes, true));
       }
       entries.push_back({"bits_per_report", per_report, threads});
       entries.push_back({"bits_batched", batched, threads});

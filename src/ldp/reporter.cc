@@ -34,10 +34,12 @@ FactoredStrategyReporter::FactoredStrategyReporter(
   n_ = static_cast<int>(n);
   m_ = static_cast<int>(m);
   // type_strides_[i] = Π_{j > i} n_j, the place value of factor i's digit.
-  type_strides_.assign(factors.size(), 1);
+  std::vector<std::uint64_t> strides(factors.size(), 1);
   for (std::size_t i = factors.size() - 1; i > 0; --i) {
-    type_strides_[i - 1] = type_strides_[i] * factors[i].cols();
+    strides[i - 1] = strides[i] * factors[i].cols();
   }
+  type_strides_.reserve(strides.size());
+  for (const std::uint64_t stride : strides) type_strides_.emplace_back(stride);
 }
 
 Report FactoredStrategyReporter::Respond(int user_type, Rng& rng) const {
@@ -45,15 +47,15 @@ Report FactoredStrategyReporter::Respond(int user_type, Rng& rng) const {
       << "user type out of range:" << user_type << "for n =" << n_;
   // Mixed-radix decompose (factor 0 most significant) from the most
   // significant digit down, sampling each factor as its digit appears: the
-  // RNG is consumed in factor index order and nothing is allocated. The
-  // output index is the same flattening of the factor outputs.
-  int rest = user_type;
+  // RNG is consumed in factor index order and nothing is allocated or
+  // divided. The output index is the same flattening of the factor outputs.
+  std::uint64_t rest = static_cast<std::uint64_t>(user_type);
   int out = 0;
   for (std::size_t i = 0; i < factors_.size(); ++i) {
-    const int type = rest / type_strides_[i];
-    rest -= type * type_strides_[i];
+    const Divisor::QuotientRemainder digit = type_strides_[i].Divide(rest);
+    rest = digit.remainder;
     out = out * factors_[i].num_outputs() +
-          factors_[i].RespondIndex(type, rng);
+          factors_[i].RespondIndex(static_cast<int>(digit.quotient), rng);
   }
   Report report;
   report.index = out;

@@ -105,7 +105,9 @@ class StrategyReporter final : public Reporter {
 /// mixed-radix into per-factor types (factor 0 most significant, matching
 /// linalg/kron.h) and the output index is the same flattening of the factor
 /// outputs — a composed report costs k small alias-table draws, never
-/// touching the Π m_i x Π n_i product.
+/// touching the Π m_i x Π n_i product. Each digit comes from a Divisor of
+/// its place value, built at construction, so Respond neither divides nor
+/// allocates.
 class FactoredStrategyReporter final : public Reporter {
  public:
   /// `factors` are the per-factor strategies Q_i; the composed output
@@ -121,7 +123,7 @@ class FactoredStrategyReporter final : public Reporter {
 
  private:
   std::vector<StrategyReporter> factors_;
-  std::vector<int> type_strides_;  ///< Place value of each factor's type.
+  std::vector<Divisor> type_strides_;  ///< Place value of each factor's type.
   int n_ = 1;
   int m_ = 1;
 };

@@ -71,15 +71,21 @@ std::int64_t BinomialBtrs(Rng& rng, std::int64_t n, double p) {
   }
 }
 
+std::uint64_t PositiveSize(int n) {
+  WFM_CHECK_GT(n, 0);
+  return static_cast<std::uint64_t>(n);
+}
+
 }  // namespace
 
-UniformIndex::UniformIndex(int n) {
-  WFM_CHECK_GT(n, 0);
-  // The only divisions: once per table, never per draw.
-  n_ = static_cast<std::uint64_t>(n);
-  limit_ = UINT64_MAX - UINT64_MAX % n_;
-  reciprocal_ = UINT64_MAX / n_;
+Divisor::Divisor(std::uint64_t d) : d_(d) {
+  WFM_CHECK_GT(d, 0u);
+  reciprocal_ = UINT64_MAX / d_;
 }
+
+// The only divisions: once per table, never per draw.
+UniformIndex::UniformIndex(int n)
+    : n_(PositiveSize(n)), limit_(UINT64_MAX - UINT64_MAX % n_.divisor()) {}
 
 AliasSampler::AliasSampler(const std::vector<double>& weights)
     : index_(static_cast<int>(weights.size())) {
@@ -92,7 +98,10 @@ AliasSampler::AliasSampler(const std::vector<double>& weights)
   WFM_CHECK_GT(total, 0.0) << "alias weights must not all be zero";
 
   prob_.assign(n, 0.0);
-  alias_.assign(n, 0);
+  // An entry that is never paired keeps probability 1 and points at itself,
+  // so both sides of Sample's select name it.
+  alias_.resize(n);
+  std::iota(alias_.begin(), alias_.end(), 0);
   std::vector<double> scaled(n);
   for (int i = 0; i < n; ++i) scaled[i] = weights[i] * n / total;
 

@@ -25,6 +25,7 @@
 #include "core/factorization.h"
 #include "core/optimizer.h"
 #include "estimation/wnnls.h"
+#include "ldp/reporter.h"
 #include "linalg/kron.h"
 #include "linalg/rng.h"
 #include "linalg/samplers.h"
@@ -420,6 +421,24 @@ TEST(FactoredReporterTest, PlanRespondStreamMatchesReferenceDecomposition) {
     ASSERT_EQ(client.Respond(type, rng).index, expected) << "report " << t;
   }
   EXPECT_EQ(rng.NextUint64(), reference.NextUint64());
+}
+
+TEST(FactoredReporterTest, IdentityFactorsReportTheUserTypeItself) {
+  // Identity factors answer their digit with certainty, so the composed
+  // report is the flattened digits, i.e. the user type: an exact check of
+  // the mixed-radix split, including a 1 x 1 factor and a place value of 1.
+  const std::vector<std::vector<int>> shapes{
+      {1, 3, 5, 7}, {7, 1, 1, 2}, {16, 1}, {1}, {2, 3, 2, 5, 1, 11}};
+  for (const std::vector<int>& shape : shapes) {
+    std::vector<Matrix> factors;
+    for (const int n : shape) factors.push_back(Matrix::Identity(n));
+    const FactoredStrategyReporter reporter(factors);
+    Rng rng(3);
+    for (int u = 0; u < reporter.num_types(); ++u) {
+      ASSERT_EQ(reporter.Respond(u, rng).index, u)
+          << "factors " << shape.size() << ", user type " << u;
+    }
+  }
 }
 
 // --- end-to-end deployment past the dense ceiling -------------------------

@@ -118,6 +118,76 @@ TEST(AliasSamplerTest, SampleMatchesTheDivisionBasedReferenceDrawForDraw) {
   }
 }
 
+TEST(AliasSamplerTest, DegenerateTablesMatchTheTernaryReferenceDrawForDraw) {
+  // Tables whose entries sit at the ends of [0, 1]: exact-zero weights give
+  // probability-0 entries, one-hot weights a single full entry every other
+  // entry aliases, and equal weights a table of full entries that alias
+  // themselves. Sizes: 1, powers of two and primes.
+  for (const int n : {1, 2, 3, 7, 8, 13, 64, 1021, 1024}) {
+    std::vector<std::vector<double>> tables;
+    tables.emplace_back(n, 1.0);                    // All equal.
+    std::vector<double> one_hot(n, 0.0);
+    one_hot[n / 2] = 3.0;
+    tables.push_back(one_hot);
+    std::vector<double> sparse(n, 0.0);             // Exact zeros between.
+    for (int i = 0; i < n; i += 3) sparse[i] = 1.0 + i % 5;
+    tables.push_back(sparse);
+
+    for (std::size_t table = 0; table < tables.size(); ++table) {
+      const AliasSampler sampler(tables[table]);
+      if (table == 0) {
+        for (int i = 0; i < n; ++i) {
+          ASSERT_EQ(sampler.probability(i), 1.0) << "n = " << n << ", i " << i;
+          ASSERT_EQ(sampler.alias(i), i) << "n = " << n;
+        }
+      }
+      Rng fast(700 + n);
+      Rng reference(700 + n);
+      for (int t = 0; t < 5000; ++t) {
+        const int i = reference.UniformInt(n);
+        const int expected = reference.NextDouble() < sampler.probability(i)
+                                 ? i
+                                 : sampler.alias(i);
+        ASSERT_GT(tables[table][expected], 0.0) << "zero-weight draw";
+        ASSERT_EQ(sampler.Sample(fast), expected)
+            << "n = " << n << ", table " << table << ", draw " << t;
+      }
+      EXPECT_EQ(fast.NextUint64(), reference.NextUint64())
+          << "n = " << n << ", table " << table;
+    }
+  }
+}
+
+TEST(DivisorTest, DivideMatchesHardwareDivisionAndModulo) {
+  std::vector<std::uint64_t> divisors{1, 2, 3, 7, 46341,
+                                      std::numeric_limits<int>::max()};
+  for (int k = 2; k < 31; ++k) divisors.push_back(std::uint64_t{1} << k);
+  const std::uint64_t int_max = std::numeric_limits<int>::max();
+  for (const std::uint64_t d : divisors) {
+    const Divisor divisor(d);
+    ASSERT_EQ(divisor.divisor(), d);
+    std::vector<std::uint64_t> values{0, d - 1, d, int_max, int_max - 1,
+                                      UINT64_MAX, UINT64_MAX - d};
+    for (const std::uint64_t k : {1, 2, 3, 46340, 46341, 1 << 20}) {
+      values.push_back(k * d - 1);
+      values.push_back(k * d);
+      values.push_back(k * d + 1);
+    }
+    values.push_back(d * (UINT64_MAX / d));
+    values.push_back(d * (UINT64_MAX / d) - 1);
+    Rng rng(11);
+    for (int t = 0; t < 20000; ++t) {
+      values.push_back(rng.NextUint64());
+      values.push_back(rng.NextUint64() >> 33);  // Int-sized user types.
+    }
+    for (const std::uint64_t r : values) {
+      const Divisor::QuotientRemainder split = divisor.Divide(r);
+      ASSERT_EQ(split.quotient, r / d) << "d = " << d << ", r = " << r;
+      ASSERT_EQ(split.remainder, r % d) << "d = " << d << ", r = " << r;
+    }
+  }
+}
+
 TEST(BinomialTest, EdgeCases) {
   Rng rng(25);
   EXPECT_EQ(SampleBinomial(rng, 0, 0.5), 0);
