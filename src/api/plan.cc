@@ -163,7 +163,7 @@ StatusOr<int> PlanSession::RollStrategy(Matrix q) {
         "rolled strategy is not a valid " + std::to_string(epsilon_) +
         "-LDP strategy:" + validation.ToString());
   }
-  const FactorizationAnalysis analysis(q, stats);
+  FactorizationAnalysis analysis(q, stats);
   // Mirrors the mechanism layer's deployability bar (mechanism.cc): a large
   // Gram-side residual means the workload left the strategy's row space and
   // every decode under it would be biased.
@@ -174,7 +174,8 @@ StatusOr<int> PlanSession::RollStrategy(Matrix q) {
         std::to_string(analysis.FactorizationResidual()) + ")");
   }
   std::lock_guard<std::mutex> lock(strategy_mutex_);
-  const int version = session_.StageRoll(ReportDecoder::FromAnalysis(analysis));
+  const int version =
+      session_.StageRoll(ReportDecoder::FromAnalysis(std::move(analysis)));
   strategies_[version] = std::make_shared<const Matrix>(std::move(q));
   return version;
 }

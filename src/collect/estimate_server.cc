@@ -1,5 +1,7 @@
 #include "collect/estimate_server.h"
 
+#include <cstdint>
+
 #include "common/check.h"
 #include "obs/metrics.h"
 
@@ -81,14 +83,20 @@ StatusOr<WorkloadEstimate> EstimateServer::ServeWindow(int window,
            snapshots[end]->strategy_version == version) {
       ++end;
     }
-    EpochSnapshot group;
-    group.histogram = snapshots[begin]->histogram;
-    group.count = snapshots[begin]->count;
-    for (std::size_t e = begin + 1; e < end; ++e) {
-      for (std::size_t o = 0; o < group.histogram.size(); ++o) {
-        group.histogram[o] += snapshots[e]->histogram[o];
+    // A one-epoch group decodes straight from its immutable snapshot; only
+    // a multi-epoch group needs an m-vector of its own to sum into.
+    const Vector* histogram = &snapshots[begin]->histogram;
+    std::int64_t count = snapshots[begin]->count;
+    Vector sum;
+    if (end - begin > 1) {
+      sum = *histogram;
+      for (std::size_t e = begin + 1; e < end; ++e) {
+        for (std::size_t o = 0; o < sum.size(); ++o) {
+          sum[o] += snapshots[e]->histogram[o];
+        }
+        count += snapshots[e]->count;
       }
-      group.count += snapshots[e]->count;
+      histogram = &sum;
     }
     const std::shared_ptr<const ReportDecoder> decoder =
         session_->DecoderForVersion(version);
@@ -100,7 +108,7 @@ StatusOr<WorkloadEstimate> EstimateServer::ServeWindow(int window,
     // The group total carries the exact report count of the summed epochs,
     // which affine decoders (RAPPOR/OUE) need to debias the aggregate.
     WorkloadEstimate part = EstimateWorkloadAnswers(
-        *decoder, session_->workload(), group.histogram, group.count, kind);
+        *decoder, session_->workload(), *histogram, count, kind);
     if (estimate.data_vector.empty()) {
       estimate = std::move(part);
     } else {

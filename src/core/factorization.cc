@@ -26,56 +26,63 @@ WorkloadStats WorkloadStats::From(const Workload& w) {
   return s;
 }
 
-FactorizationAnalysis::FactorizationAnalysis(Matrix q, const WorkloadStats& workload)
-    : q_(std::move(q)), workload_(workload) {
-  const int m = q_.rows();
-  const int n = q_.cols();
+FactorizationAnalysis::FactorizationAnalysis(const Matrix& q,
+                                             const WorkloadStats& workload)
+    : workload_(workload) {
+  const int m = q.rows();
+  const int n = q.cols();
   WFM_CHECK_EQ(n, workload_.n) << "strategy domain mismatch";
   WFM_CHECK_EQ(workload_.gram.rows(), n);
 
   // D⁻¹ with zero-mass rows treated as unused outputs.
-  Vector d = q_.RowSums();
+  Vector d = q.RowSums();
   Vector dinv(m);
   for (int o = 0; o < m; ++o) {
     dinv[o] = d[o] > 1e-300 ? 1.0 / d[o] : 0.0;
   }
 
-  Matrix dq = q_;       // D⁻¹ Q.
-  ScaleRows(dq, dinv);
-  const Matrix a = MultiplyATB(q_, dq);  // A = Qᵀ D⁻¹ Q (n x n, PSD).
+  // b_ starts as (D⁻¹Q)ᵀ (n x m) and is solved in place into
+  // B = A† Qᵀ D⁻¹ = A† (D⁻¹Q)ᵀ; it is the only n x m buffer held here.
+  TransposeInto(q, b_);
+  ScaleCols(b_, dinv);
+  {
+    // A = Qᵀ D⁻¹ Q (n x n, PSD), reading D⁻¹Q through b_'s transpose.
+    const PsdSolver solver(MultiplyATBT(q, b_));
+    // Objective L(Q) = tr(A† G).
+    objective_ = solver.Solve(workload_.gram).Trace();
+    solver.SolveInPlace(b_);
+  }
 
-  PsdSolver solver(a);
-
-  // Objective L(Q) = tr(A† G).
-  const Matrix x = solver.Solve(workload_.gram);
-  objective_ = x.Trace();
-
-  // B = A† Qᵀ D⁻¹ = A† (D⁻¹Q)ᵀ  (n x m).
-  b_ = solver.Solve(dq.Transpose());
-
-  // c_o = [Bᵀ G B]_oo: columnwise inner products of B with GB.
-  const Matrix gb = Multiply(workload_.gram, b_);  // n x m.
+  // c_o = [Bᵀ G B]_oo: columnwise inner products of B with GB, one column
+  // panel of GB at a time (per o the sum over i runs in ascending order).
   Vector c(m, 0.0);
-  for (int i = 0; i < workload_.n; ++i) {
-    const double* brow = b_.RowPtr(i);
-    const double* gbrow = gb.RowPtr(i);
-    for (int o = 0; o < m; ++o) c[o] += brow[o] * gbrow[o];
+  {
+    Matrix gb;  // n x (panel width).
+    for (int o0 = 0; o0 < m; o0 += kGemmPanelCols) {
+      const int o1 = std::min(m, o0 + kGemmPanelCols);
+      MultiplyColumnsInto(workload_.gram, b_, o0, o1, gb);
+      for (int i = 0; i < n; ++i) {
+        const double* brow = b_.RowPtr(i) + o0;
+        const double* gbrow = gb.RowPtr(i);
+        for (int j = 0; j < o1 - o0; ++j) c[o0 + j] += brow[j] * gbrow[j];
+      }
+    }
   }
 
   // P = B Q (n x n); psi_u = [Pᵀ G P]_uu.
-  const Matrix p = Multiply(b_, q_);
+  const Matrix p = Multiply(b_, q);
   const Matrix gp = Multiply(workload_.gram, p);
-  psi_.assign(workload_.n, 0.0);
-  for (int i = 0; i < workload_.n; ++i) {
+  psi_.assign(n, 0.0);
+  for (int i = 0; i < n; ++i) {
     const double* prow = p.RowPtr(i);
     const double* gprow = gp.RowPtr(i);
-    for (int u = 0; u < workload_.n; ++u) psi_[u] += prow[u] * gprow[u];
+    for (int u = 0; u < n; ++u) psi_[u] += prow[u] * gprow[u];
   }
 
   // phi_u = sum_o q_ou c_o - psi_u.
-  t_ = MultiplyTVec(q_, c);
-  phi_.resize(workload_.n);
-  for (int u = 0; u < workload_.n; ++u) {
+  t_ = MultiplyTVec(q, c);
+  phi_.resize(n);
+  for (int u = 0; u < n; ++u) {
     // Guard round-off: variance contributions are non-negative by
     // construction (covariance of a multinomial is PSD).
     phi_[u] = std::max(0.0, t_[u] - psi_[u]);
@@ -85,8 +92,8 @@ FactorizationAnalysis::FactorizationAnalysis(Matrix q, const WorkloadStats& work
   // null(W), G(BQ) = G is equivalent to (WB)Q = W (see DESIGN.md). GP was
   // already computed above.
   double max_diff = 0.0;
-  for (int i = 0; i < workload_.n; ++i) {
-    for (int j = 0; j < workload_.n; ++j) {
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
       max_diff = std::max(max_diff, std::abs(gp(i, j) - workload_.gram(i, j)));
     }
   }

@@ -14,6 +14,15 @@
 //
 //   per-user unit variance  phi_u = sum_o q_ou * c_o - ||V q_u||²
 //   with c_o = ||V e_o||² = [Bᵀ G B]_oo  and ||V q_u||² = (B q_u)ᵀ G (B q_u).
+//
+// Memory contract. The analysis reads Q and never copies it, and it owns one
+// n x m buffer, B: it starts as (D⁻¹Q)ᵀ, A = Qᵀ(D⁻¹Q) is read through its
+// transpose, and the solve overwrites it in place (PsdSolver::SolveInPlace).
+// c is computed from G B one column panel at a time (kGemmPanelCols wide),
+// so no n x m G B exists; every other intermediate is n x n. A build that
+// deploys the analysis moves B into the decoder (ReportDecoder::FromAnalysis
+// takes the analysis by value), so a deployed plan holds Q, B and the
+// reporter's alias tables, and nothing else of size n x m.
 
 #ifndef WFM_CORE_FACTORIZATION_H_
 #define WFM_CORE_FACTORIZATION_H_
@@ -45,16 +54,17 @@ struct WorkloadStats {
   static WorkloadStats From(const Workload& w);
 };
 
+class ReportDecoder;
+
 class FactorizationAnalysis {
  public:
   /// Builds the analysis. `q` must be column-stochastic and non-negative;
-  /// rows with zero mass are tolerated (treated as unused outputs).
-  FactorizationAnalysis(Matrix q, const WorkloadStats& workload);
+  /// rows with zero mass are tolerated (treated as unused outputs). `q` is
+  /// only read during construction.
+  FactorizationAnalysis(const Matrix& q, const WorkloadStats& workload);
 
   int n() const { return workload_.n; }
-  int m() const { return q_.rows(); }
-  const Matrix& q() const { return q_; }
-  const WorkloadStats& workload() const { return workload_; }
+  int m() const { return b_.cols(); }
 
   /// Optimization objective L(Q) = tr[(Qᵀ D⁻¹ Q)† G] (Theorem 3.11).
   double Objective() const { return objective_; }
@@ -103,7 +113,9 @@ class FactorizationAnalysis {
   double FactorizationResidual() const { return residual_; }
 
  private:
-  Matrix q_;
+  // Takes B and the workload stats over (ReportDecoder::FromAnalysis).
+  friend class ReportDecoder;
+
   WorkloadStats workload_;
   Matrix b_;          // n x m.
   Vector phi_;        // Per-user unit variance.

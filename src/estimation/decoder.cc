@@ -121,8 +121,8 @@ double ReportDecoder::GramLipschitz() const {
   return cached;
 }
 
-ReportDecoder ReportDecoder::FromAnalysis(const FactorizationAnalysis& analysis) {
-  return ReportDecoder(analysis.ReconstructionB(), analysis.workload());
+ReportDecoder ReportDecoder::FromAnalysis(FactorizationAnalysis analysis) {
+  return ReportDecoder(std::move(analysis.b_), std::move(analysis.workload_));
 }
 
 Vector ReportDecoder::EstimateDataVector(const Vector& aggregate,

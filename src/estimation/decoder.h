@@ -68,8 +68,10 @@ class ReportDecoder {
   ReportDecoder& operator=(ReportDecoder&& other) noexcept;
 
   /// Decoder of a strategy factorization: B = analysis.ReconstructionB().
-  /// Bit-identical to estimating through the analysis directly.
-  static ReportDecoder FromAnalysis(const FactorizationAnalysis& analysis);
+  /// Bit-identical to estimating through the analysis directly. Takes the
+  /// analysis by value and moves B and the workload stats out of it, so a
+  /// caller that passes an rvalue hands B over without a copy.
+  static ReportDecoder FromAnalysis(FactorizationAnalysis analysis);
 
   int n() const { return stats_.n; }
   int m() const { return m_; }

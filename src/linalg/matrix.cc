@@ -46,7 +46,7 @@ constexpr int kNr = 8;    // Micro-tile columns.
 // (kKc * kNc doubles = 576 KiB) stays L2/L3-resident; larger panels lost
 // 10-20% on both the dev container and CI-class runners.
 constexpr int kKc = 192;  // k-panel depth (packed micro-panels span it).
-constexpr int kNc = 384;  // n-panel width.
+constexpr int kNc = kGemmPanelCols;  // n-panel width.
 
 struct ConstView {
   const double* p;
@@ -374,6 +374,23 @@ Matrix MultiplyABT(const Matrix& a, const Matrix& b) {
   Matrix c;
   MultiplyABTInto(a, b, c);
   return c;
+}
+
+Matrix MultiplyATBT(const Matrix& a, const Matrix& b) {
+  WFM_CHECK_EQ(a.rows(), b.cols());
+  Matrix c(a.cols(), b.rows());
+  Gemm(Transposed(a), Transposed(b), c, a.cols(), b.rows(), a.rows());
+  return c;
+}
+
+void MultiplyColumnsInto(const Matrix& a, const Matrix& b, int col_begin,
+                         int col_end, Matrix& c) {
+  WFM_CHECK_EQ(a.cols(), b.rows());
+  WFM_CHECK(0 <= col_begin && col_begin <= col_end && col_end <= b.cols());
+  WFM_DCHECK(&c != &a && &c != &b);
+  c.Resize(a.rows(), col_end - col_begin);
+  const ConstView panel{b.data() + col_begin, b.cols(), 1};
+  Gemm(RowMajor(a), panel, c, a.rows(), col_end - col_begin, a.cols());
 }
 
 void MultiplyVecInto(const Matrix& a, const Vector& x, Vector& y) {

@@ -142,6 +142,9 @@ Matrix operator*(double s, Matrix a);
 // of the optimizer's zero-allocation inner loop. The output must not alias
 // either input. Value-returning forms are thin wrappers.
 
+/// Width of the GEMM core's packed B panel (the n-panel of the blocking).
+inline constexpr int kGemmPanelCols = 384;
+
 /// C = A * B.
 Matrix Multiply(const Matrix& a, const Matrix& b);
 void MultiplyInto(const Matrix& a, const Matrix& b, Matrix& c);
@@ -151,6 +154,13 @@ void MultiplyATBInto(const Matrix& a, const Matrix& b, Matrix& c);
 /// C = A * Bᵀ without materializing Bᵀ.
 Matrix MultiplyABT(const Matrix& a, const Matrix& b);
 void MultiplyABTInto(const Matrix& a, const Matrix& b, Matrix& c);
+/// C = Aᵀ * Bᵀ without materializing either transpose.
+Matrix MultiplyATBT(const Matrix& a, const Matrix& b);
+/// C = A * B[:, col_begin : col_end], one column panel of A * B without
+/// forming the rest; each entry is bit-identical to that of Multiply(a, b).
+/// Panels kGemmPanelCols wide match the core's own n-panel blocking.
+void MultiplyColumnsInto(const Matrix& a, const Matrix& b, int col_begin,
+                         int col_end, Matrix& c);
 
 /// y = A x. Rows split across the thread pool for large matrices.
 Vector MultiplyVec(const Matrix& a, const Vector& x);

@@ -1,5 +1,6 @@
 #include "linalg/pseudo_inverse.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "linalg/symmetric_eigen.h"
@@ -79,8 +80,27 @@ PsdSolver::PsdSolver(const Matrix& a) {
 }
 
 Matrix PsdSolver::Solve(const Matrix& b) const {
-  if (used_cholesky_) return chol_.Solve(b);
-  return Multiply(pinv_, b);
+  Matrix x(b);
+  SolveInPlace(x);
+  return x;
+}
+
+void PsdSolver::SolveInPlace(Matrix& b) const {
+  if (used_cholesky_) {
+    chol_.SolveInPlace(b);
+    return;
+  }
+  WFM_CHECK_EQ(b.rows(), pinv_.cols());
+  // Column j of pinv·b reads only column j of b, so each panel of the
+  // product can overwrite the panel of b it was computed from.
+  Matrix panel;
+  for (int j0 = 0; j0 < b.cols(); j0 += kGemmPanelCols) {
+    const int j1 = std::min(b.cols(), j0 + kGemmPanelCols);
+    MultiplyColumnsInto(pinv_, b, j0, j1, panel);
+    for (int i = 0; i < b.rows(); ++i) {
+      std::copy(panel.RowPtr(i), panel.RowPtr(i) + (j1 - j0), b.RowPtr(i) + j0);
+    }
+  }
 }
 
 Vector PsdSolver::Solve(const Vector& b) const {

@@ -40,6 +40,11 @@ class PsdSolver {
 
   Matrix Solve(const Matrix& b) const;
   Vector Solve(const Vector& b) const;
+  /// Solve(b) overwriting `b`, without a second copy of it: the fallback
+  /// path multiplies pinv·b one column panel at a time, so its extra memory
+  /// is one n x kGemmPanelCols panel, and each entry is bit-identical to
+  /// that of the full product.
+  void SolveInPlace(Matrix& b) const;
 
  private:
   Cholesky chol_;

@@ -96,10 +96,12 @@ StatusOr<Deployment> StrategyMechanism::Deploy(
   ErrorProfile profile;
   profile.phi = fa.PerUserVariance();
   profile.num_queries = workload.p;
-  return Deployment{
-      std::make_shared<StrategyReporter>(q_),
-      std::make_shared<const ReportDecoder>(ReportDecoder::FromAnalysis(fa)),
-      std::move(profile)};
+  // The alias tables are built while the analysis still holds B; the
+  // decoder then takes B over, so no second copy of it ever exists.
+  return Deployment{std::make_shared<StrategyReporter>(q_),
+                    std::make_shared<const ReportDecoder>(
+                        ReportDecoder::FromAnalysis(std::move(fa))),
+                    std::move(profile)};
 }
 
 FactorizationAnalysis StrategyMechanism::AnalyzeFactorization(

@@ -4,13 +4,17 @@
 
 #include "core/factorization.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "core/projection.h"
 #include "linalg/cholesky.h"
+#include "linalg/pseudo_inverse.h"
 #include "linalg/rng.h"
+#include "mechanisms/hadamard_response.h"
 #include "mechanisms/randomized_response.h"
 #include "workload/histogram.h"
 #include "workload/prefix.h"
@@ -46,6 +50,127 @@ double VarianceByDefinition(const Matrix& v, const Matrix& q, const Vector& x) {
     total += x[u] * phi;
   }
   return total;
+}
+
+/// The analysis as the textbook writes it, through public linalg calls:
+/// D⁻¹Q materialized, A = Qᵀ(D⁻¹Q), B = A†(D⁻¹Q)ᵀ from a copy (a Cholesky
+/// solve, or the full product with the pseudo-inverse when A is singular),
+/// and the full n x m product G·B. The analysis computes the same products
+/// without those copies, so it must agree with this bit for bit.
+struct TextbookAnalysis {
+  Matrix b;
+  double objective = 0.0;
+  Vector phi, t, psi;
+  double residual = 0.0;
+  bool used_cholesky = false;
+
+  TextbookAnalysis(const Matrix& q, const Matrix& gram) {
+    const int m = q.rows();
+    const int n = q.cols();
+    const Vector d = q.RowSums();
+    Vector dinv(m);
+    for (int o = 0; o < m; ++o) dinv[o] = d[o] > 1e-300 ? 1.0 / d[o] : 0.0;
+    Matrix dq = q;
+    ScaleRows(dq, dinv);
+    const Matrix a = MultiplyATB(q, dq);
+    const PsdSolver solver(a);
+    used_cholesky = solver.used_cholesky();
+    if (used_cholesky) {
+      objective = solver.Solve(gram).Trace();
+      b = solver.Solve(dq.Transpose());
+    } else {
+      const Matrix pinv = SymmetricPseudoInverse(a);
+      objective = Multiply(pinv, gram).Trace();
+      b = Multiply(pinv, dq.Transpose());
+    }
+    const Matrix gb = Multiply(gram, b);
+    Vector c(m, 0.0);
+    for (int i = 0; i < n; ++i) {
+      for (int o = 0; o < m; ++o) c[o] += b(i, o) * gb(i, o);
+    }
+    const Matrix p = Multiply(b, q);
+    const Matrix gp = Multiply(gram, p);
+    psi.assign(n, 0.0);
+    for (int i = 0; i < n; ++i) {
+      for (int u = 0; u < n; ++u) psi[u] += p(i, u) * gp(i, u);
+    }
+    t = MultiplyTVec(q, c);
+    phi.resize(n);
+    for (int u = 0; u < n; ++u) phi[u] = std::max(0.0, t[u] - psi[u]);
+    double max_diff = 0.0;
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < n; ++j) {
+        max_diff = std::max(max_diff, std::abs(gp(i, j) - gram(i, j)));
+      }
+    }
+    const double gmax = gram.MaxAbs();
+    residual = gmax > 0 ? max_diff / gmax : max_diff;
+  }
+};
+
+template <typename T>
+bool SameBits(const T& a, const T& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+void ExpectMatchesTextbook(const Matrix& q, const Workload& workload,
+                           bool expect_cholesky) {
+  const WorkloadStats stats = WorkloadStats::From(workload);
+  const TextbookAnalysis want(q, stats.gram);
+  ASSERT_EQ(want.used_cholesky, expect_cholesky) << "fixture premise";
+  const FactorizationAnalysis fa(q, stats);
+  EXPECT_EQ(fa.m(), q.rows());
+  EXPECT_EQ(fa.ReconstructionB().rows(), q.cols());
+  EXPECT_EQ(fa.ReconstructionB().cols(), q.rows());
+  EXPECT_TRUE(SameBits(fa.ReconstructionB(), want.b));
+  EXPECT_TRUE(SameBits(fa.Objective(), want.objective));
+  EXPECT_TRUE(SameBits(fa.PerUserVariance(), want.phi));
+  EXPECT_TRUE(SameBits(fa.PerUserSecondMoment(), want.t));
+  EXPECT_TRUE(SameBits(fa.PerUserMeanEnergy(), want.psi));
+  EXPECT_TRUE(SameBits(fa.FactorizationResidual(), want.residual));
+}
+
+TEST(FactorizationTest, BitIdenticalToTextbookOnPackedGemm) {
+  // m = 128, n = 64: every product takes the packed GEMM path.
+  ExpectMatchesTextbook(HadamardResponseMechanism::BuildStrategy(64, 1.0),
+                        PrefixWorkload(64), /*expect_cholesky=*/true);
+}
+
+TEST(FactorizationTest, BitIdenticalToTextbookOnSmallGemm) {
+  // 4 x 4: every product takes the scalar small-product path.
+  ExpectMatchesTextbook(RandomizedResponseMechanism::BuildStrategy(4, 1.0),
+                        HistogramWorkload(4), /*expect_cholesky=*/true);
+}
+
+TEST(FactorizationTest, BitIdenticalToTextbookWithZeroMassOutput) {
+  // An unused output (zero row) gets D⁻¹ = 0 and a zero column of B.
+  Rng rng(79);
+  const int n = 6, m = 24;
+  const Matrix dense = RandomStrategy(m, n, 1.0, rng);
+  Matrix q(m + 1, n);
+  for (int o = 0; o < m; ++o) {
+    for (int u = 0; u < n; ++u) q(o < 7 ? o : o + 1, u) = dense(o, u);
+  }
+  ExpectMatchesTextbook(q, PrefixWorkload(n), /*expect_cholesky=*/true);
+}
+
+TEST(FactorizationTest, BitIdenticalToTextbookOnRankDeficientStrategy) {
+  // Two identical columns make A singular, so the solves take the spectral
+  // pseudo-inverse; m = 2·384 + 32 spans two full column panels of the
+  // in-place solve and a ragged third.
+  Rng rng(80);
+  const int n = 32, m = 800;
+  Matrix r(m, n);
+  for (int o = 0; o < m; ++o) {
+    for (int u = 0; u < n; ++u) r(o, u) = rng.NextDouble();
+    r(o, 1) = r(o, 0);
+  }
+  const Vector z(m, (1.0 + std::exp(-1.0)) / (2.0 * m));
+  const Matrix q = ProjectOntoLdpPolytope(r, z, 1.0).q;
+  ExpectMatchesTextbook(q, PrefixWorkload(n), /*expect_cholesky=*/false);
 }
 
 TEST(FactorizationTest, PerUserVarianceMatchesDefinition) {

@@ -1,5 +1,6 @@
 // Kernel-equivalence suite: the packed/pooled product kernels against a
-// plain triple-loop oracle written here.
+// plain triple-loop oracle written here, and the view products (AᵀBᵀ, a
+// column panel of A·B) bit for bit against their explicit forms.
 //
 // The packed kernels accumulate k panels in ascending order but group the
 // additions differently from a single running sum, so results agree to
@@ -112,6 +113,70 @@ TEST(MatrixKernelsTest, MultiplyABTMatchesReference) {
     const Matrix want = NaiveMultiply(a, b.Transpose());
     EXPECT_TRUE(got.ApproxEquals(want, Tolerance(s.k)))
         << "shape " << s.m << "x" << s.k << "x" << s.n;
+  }
+}
+
+bool BitwiseEqual(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// The view products read the same operands in the same order as their
+/// explicit forms, so they agree bit for bit, not just to round-off.
+TEST(MatrixKernelsTest, MultiplyATBTBitIdenticalToMaterializedTranspose) {
+  Rng rng(111);
+  for (const Shape& s : kShapes) {
+    const Matrix a = RandomMatrix(s.k, s.m, rng);  // shared dim is a.rows().
+    const Matrix b = RandomMatrix(s.n, s.k, rng);  // shared dim is b.cols().
+    EXPECT_TRUE(BitwiseEqual(MultiplyATBT(a, b), MultiplyATB(a, b.Transpose())))
+        << "shape " << s.m << "x" << s.k << "x" << s.n;
+  }
+}
+
+/// Column panels of A·B, ragged or not, on either side of the packed-path
+/// threshold and of the core's kGemmPanelCols blocking. Panels computed on
+/// the default pool and on a one-thread pool both match the default pool's
+/// full product.
+TEST(MatrixKernelsTest, MultiplyColumnsBitIdenticalToSlicedMultiply) {
+  struct PanelCase {
+    Shape shape;
+    std::vector<int> cuts;  // Panel edges, ascending from 0 to shape.n.
+  };
+  const int w = kGemmPanelCols;
+  const PanelCase cases[] = {
+      {{1, 1, 1}, {0, 1}},
+      {{17, 33, 65}, {0, 8, 9, 40, 65}},
+      {{65, 400, 33}, {0, 33}},
+      {{30, 150, 2 * w + 50}, {0, w, 2 * w, 2 * w + 50}},
+      {{100, 500, 2 * w + 7}, {0, 3, w - 1, w + 1, 2 * w, 2 * w + 7}},
+      {{4, 5, 1000}, {0, w, 2 * w, 1000}},
+      {{0, 5, 4}, {0, 4}},
+  };
+  Rng rng(112);
+  ThreadPool serial(1);
+  for (const PanelCase& pc : cases) {
+    const Shape& s = pc.shape;
+    const Matrix a = RandomMatrix(s.m, s.k, rng);
+    const Matrix b = RandomMatrix(s.k, s.n, rng);
+    const Matrix full = Multiply(a, b);
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &serial}) {
+      ThreadPool::SetGlobal(pool);
+      Matrix panel;
+      for (std::size_t p = 0; p + 1 < pc.cuts.size(); ++p) {
+        const int j0 = pc.cuts[p];
+        const int j1 = pc.cuts[p + 1];
+        MultiplyColumnsInto(a, b, j0, j1, panel);
+        Matrix want(s.m, j1 - j0);
+        for (int i = 0; i < s.m; ++i) {
+          for (int j = j0; j < j1; ++j) want(i, j - j0) = full(i, j);
+        }
+        EXPECT_TRUE(BitwiseEqual(panel, want))
+            << "shape " << s.m << "x" << s.k << "x" << s.n << " columns ["
+            << j0 << ", " << j1 << ")" << (pool ? " on 1 thread" : "");
+      }
+      ThreadPool::SetGlobal(nullptr);
+    }
   }
 }
 
